@@ -12,9 +12,8 @@
 //! intentional semantics change). `--check` recomputes every cell and
 //! fails loudly on drift: demote cascades, link-priced promotions,
 //! hint-driven eviction ranking, and conversation carry must all replay
-//! bit-identically for a given seed — including on the sharded parallel
-//! path, and including the degenerate zero-capacity tiers, which must
-//! reproduce the bare-pool row exactly.
+//! bit-identically for a given seed — including the degenerate
+//! zero-capacity tiers, which must reproduce the bare-pool row exactly.
 
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::OffloadConfig;
@@ -32,22 +31,16 @@ fn tiers(policy: EvictionPolicy) -> OffloadConfig {
     OffloadConfig::tiers(2048, 8192).with_policy(policy)
 }
 
-/// The pinned cells: `(label, offload, worker threads)`.
-fn matrix() -> Vec<(&'static str, Option<OffloadConfig>, u32)> {
+/// The pinned cells: `(label, offload)`.
+fn matrix() -> Vec<(&'static str, Option<OffloadConfig>)> {
     vec![
-        ("no-offload", None, 1),
-        ("offload-lru", Some(tiers(EvictionPolicy::Lru)), 1),
+        ("no-offload", None),
+        ("offload-lru", Some(tiers(EvictionPolicy::Lru))),
         (
             "offload-distance",
             Some(tiers(EvictionPolicy::InvocationDistance)),
-            1,
         ),
-        (
-            "offload-distance/threads2",
-            Some(tiers(EvictionPolicy::InvocationDistance)),
-            2,
-        ),
-        ("zero-capacity", Some(OffloadConfig::tiers(0, 0)), 1),
+        ("zero-capacity", Some(OffloadConfig::tiers(0, 0))),
     ]
 }
 
@@ -80,7 +73,7 @@ impl Fingerprint {
     }
 }
 
-fn run(offload: Option<OffloadConfig>, threads: u32) -> FleetReport {
+fn run(offload: Option<OffloadConfig>) -> FleetReport {
     let mut cfg = FleetConfig::react_hotpotqa(2, Routing::SessionAffinity, 2.0, TURNS)
         .seed(5)
         .client(ClientModel::ClosedLoop {
@@ -88,7 +81,6 @@ fn run(offload: Option<OffloadConfig>, threads: u32) -> FleetReport {
             think_time: THINK,
         })
         .with_context_carry()
-        .threads(threads)
         .map_engines(|e| e.with_kv_fraction(KV_FRACTION));
     if let Some(off) = offload {
         cfg = cfg.map_engines(|e| e.with_offload(off.clone()));
@@ -100,7 +92,7 @@ fn run(offload: Option<OffloadConfig>, threads: u32) -> FleetReport {
 /// host_bytes, nvme_bytes, hit_bits, ttft_p95_bits)` — capture with the
 /// default (print) mode after any intentional semantics change.
 type GoldenRow = (&'static str, u64, u64, u64, u64, u64, u64, u64, u64, u64);
-const GOLDEN: [GoldenRow; 5] = [
+const GOLDEN: [GoldenRow; 4] = [
     (
         "no-offload",
         24,
@@ -138,18 +130,6 @@ const GOLDEN: [GoldenRow; 5] = [
         0x3fe509edbf8b9baa,
     ),
     (
-        "offload-distance/threads2",
-        24,
-        8110,
-        6594,
-        105504,
-        0,
-        30836523008,
-        0,
-        0x3fed66d6f2f9c8ce,
-        0x3fe509edbf8b9baa,
-    ),
-    (
         "zero-capacity",
         24,
         0,
@@ -174,8 +154,8 @@ fn main() {
     };
 
     let mut fingerprints: Vec<(&'static str, Fingerprint)> = Vec::new();
-    for (label, offload, threads) in matrix() {
-        let report = run(offload, threads);
+    for (label, offload) in matrix() {
+        let report = run(offload);
         fingerprints.push((label, Fingerprint::of(&report)));
     }
 
@@ -194,11 +174,6 @@ fn main() {
     assert!(
         by("offload-distance").promoted_tokens > 0,
         "carried conversations must restore context from the tiers"
-    );
-    assert_eq!(
-        by("offload-distance"),
-        by("offload-distance/threads2"),
-        "worker threads changed the offload fingerprint"
     );
     assert_eq!(
         by("zero-capacity"),

@@ -22,23 +22,22 @@
 //! are reproducible within the process, and does not touch
 //! `BENCH_engine.json`.
 //!
-//! ## Fleet scaling (`--fleet`)
+//! ## Fleet (`--fleet`)
 //!
-//! The parallel fleet driver has its own harness and output file:
+//! The fleet driver has its own harness and output file:
 //!
 //! ```sh
-//! cargo run -p agentsim-bench --release --bin perfstat -- --fleet             # measure
+//! cargo run -p agentsim-bench --release --bin perfstat -- --fleet              # CI smoke
 //! cargo run -p agentsim-bench --release --bin perfstat -- --fleet --rebaseline
-//! cargo run -p agentsim-bench --release --bin perfstat -- --fleet --threads 4 # CI smoke
 //! ```
 //!
-//! `--fleet` times the 64-replica scaling scenario sequentially and
-//! sharded, and writes `BENCH_fleet.json` (including `host_cpus` — the
-//! speedups are only meaningful relative to the recording host's core
-//! count). `--fleet --threads N` is the CI smoke: it runs the small
-//! fleet scenario at one thread and at `N`, demands the pinned
-//! fingerprint bit-for-bit from both, and fails on a >10% wall-clock
+//! `--fleet` is the CI smoke: it runs the small 16-replica scenario,
+//! demands its pinned fingerprint, and fails on a >10% wall-clock
 //! regression against the smoke baseline recorded in `BENCH_fleet.json`.
+//! `--fleet --rebaseline` times the smoke and the 64-replica ×
+//! 1M-request headline, prints both against the stored baselines, and
+//! rewrites `BENCH_fleet.json` with the new times and `host_cpus` (wall
+//! clock is only comparable on the recording host).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -321,13 +320,8 @@ const FLEET_SMOKE: FleetScenario = FleetScenario {
     seed: 0xBEEF,
 };
 
-/// Thread counts recorded for the headline scenario. On a many-core host
-/// the 8-thread row is the speedup claim; `host_cpus` in the output
-/// qualifies it.
-const FLEET_THREADS: &[u32] = &[1, 8];
-
 /// Determinism fingerprint of a fleet run (rounded, not bit-level — the
-/// bit-level contract lives in the differential test suites).
+/// bit-level contract lives in the golden test suites).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FleetFingerprint {
     completed: u64,
@@ -338,9 +332,8 @@ struct FleetFingerprint {
     energy_mwh: u64,
 }
 
-/// The smoke scenario's pinned fingerprint. Every thread count must
-/// reproduce it exactly; drift means a semantic change to the fleet
-/// simulation, not just a slowdown.
+/// The smoke scenario's pinned fingerprint. Drift means a semantic
+/// change to the fleet simulation, not just a slowdown.
 const FLEET_SMOKE_FINGERPRINT: FleetFingerprint = FleetFingerprint {
     completed: 2_000,
     max_live_sessions: 291,
@@ -353,10 +346,9 @@ const FLEET_SMOKE_FINGERPRINT: FleetFingerprint = FleetFingerprint {
 /// Wall-clock regression budget for the CI smoke, as current/baseline.
 const FLEET_SMOKE_BUDGET: f64 = 1.10;
 
-fn run_fleet(s: FleetScenario, threads: u32) -> (f64, FleetFingerprint) {
+fn run_fleet(s: FleetScenario) -> (f64, FleetFingerprint) {
     let cfg = FleetConfig::react_hotpotqa(s.replicas, Routing::LeastLoaded, s.qps, s.requests)
-        .seed(s.seed)
-        .threads(threads);
+        .seed(s.seed);
     let t0 = Instant::now();
     let r = FleetSim::new(cfg).run();
     let seconds = t0.elapsed().as_secs_f64();
@@ -371,18 +363,19 @@ fn run_fleet(s: FleetScenario, threads: u32) -> (f64, FleetFingerprint) {
     (seconds, fp)
 }
 
-/// Pulls the smoke `"baseline_s"` out of a previous `BENCH_fleet.json`
-/// (the value under the `"smoke"` object; same line-scanner approach as
-/// [`read_baselines`]).
-fn read_fleet_smoke_baseline(path: &Path) -> Option<f64> {
+/// Pulls `"baseline_s"` of the `section` object (`"headline"` or
+/// `"smoke"`) out of a previous `BENCH_fleet.json` (same line-scanner
+/// approach as [`read_baselines`]).
+fn read_fleet_baseline(path: &Path, section: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let mut in_smoke = false;
+    let key = format!("\"{section}\"");
+    let mut inside = false;
     for line in text.lines() {
         let line = line.trim();
-        if line.starts_with("\"smoke\"") {
-            in_smoke = true;
+        if line.starts_with(&key) {
+            inside = true;
         }
-        if in_smoke {
+        if inside {
             if let Some(rest) = line.strip_prefix("\"baseline_s\": ") {
                 return rest.trim_end_matches(',').parse::<f64>().ok();
             }
@@ -391,49 +384,26 @@ fn read_fleet_smoke_baseline(path: &Path) -> Option<f64> {
     None
 }
 
-/// Reads the stored per-thread-count headline baselines.
-fn read_fleet_baselines(path: &Path) -> Vec<(u32, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut threads: Option<u32> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with("\"smoke\"") {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("\"threads\": ") {
-            threads = rest.trim_end_matches(',').parse::<u32>().ok();
-        } else if let Some(rest) = line.strip_prefix("\"baseline_s\": ") {
-            if let (Some(t), Ok(v)) = (threads, rest.trim_end_matches(',').parse::<f64>()) {
-                out.push((t, v));
-            }
-        }
-    }
-    out
-}
-
 fn write_fleet_json(
     path: &Path,
     fingerprint: &FleetFingerprint,
-    rows: &[(u32, f64, f64)],
-    smoke: (f64, f64),
+    headline_s: f64,
+    smoke_s: f64,
 ) -> std::io::Result<()> {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let s = FLEET_HEADLINE;
-    let seq = rows
-        .iter()
-        .find(|&&(t, _, _)| t == 1)
-        .map_or(f64::NAN, |&(_, _, cur)| cur);
-    let mut out = format!(
-        "{{\n  \"generated_by\": \"perfstat --fleet\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"scenario\": {{\n    \"name\": \"{}\",\n    \
+    let smoke = FLEET_SMOKE;
+    let out = format!(
+        "{{\n  \"generated_by\": \"perfstat --fleet --rebaseline\",\n  \
+         \"host_cpus\": {host_cpus},\n  \"scenario\": {{\n    \"name\": \"{}\",\n    \
          \"description\": \"ReAct/HotpotQA, least-loaded routing, {} replicas, \
          {} qps x {} requests\",\n    \"replicas\": {},\n    \"qps\": {},\n    \
          \"requests\": {},\n    \"seed\": {}\n  }},\n  \"fingerprint\": {{\n    \
          \"completed\": {},\n    \"p50_us\": {},\n    \"p95_us\": {},\n    \
-         \"kv_hit_ppm\": {}\n  }},\n  \"runs\": [\n",
+         \"kv_hit_ppm\": {}\n  }},\n  \"headline\": {{\n    \
+         \"baseline_s\": {headline_s:.3}\n  }},\n  \"smoke\": {{\n    \
+         \"name\": \"{}\",\n    \"replicas\": {},\n    \"qps\": {},\n    \
+         \"requests\": {},\n    \"seed\": {},\n    \"baseline_s\": {smoke_s:.3}\n  }}\n}}\n",
         s.name,
         s.replicas,
         s.qps,
@@ -446,59 +416,39 @@ fn write_fleet_json(
         fingerprint.p50_us,
         fingerprint.p95_us,
         fingerprint.kv_hit_ppm,
-    );
-    for (i, &(threads, baseline, current)) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"threads\": {},\n      \"baseline_s\": {:.3},\n      \
-             \"current_s\": {:.3},\n      \"speedup_vs_baseline\": {:.3},\n      \
-             \"speedup_vs_sequential\": {:.3}\n    }}{}\n",
-            threads,
-            baseline,
-            current,
-            baseline / current,
-            seq / current,
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
-    let (smoke_baseline, smoke_current) = smoke;
-    let _ = write!(
-        out,
-        "  ],\n  \"smoke\": {{\n    \"name\": \"{}\",\n    \"replicas\": {},\n    \
-         \"qps\": {},\n    \"requests\": {},\n    \"seed\": {},\n    \"threads\": 4,\n    \
-         \"baseline_s\": {:.3},\n    \"current_s\": {:.3}\n  }}\n}}\n",
-        FLEET_SMOKE.name,
-        FLEET_SMOKE.replicas,
-        FLEET_SMOKE.qps,
-        FLEET_SMOKE.requests,
-        FLEET_SMOKE.seed,
-        smoke_baseline,
-        smoke_current,
+        smoke.name,
+        smoke.replicas,
+        smoke.qps,
+        smoke.requests,
+        smoke.seed,
     );
     std::fs::write(path, out)
 }
 
-/// `--fleet --threads N`: the CI smoke. Pinned fingerprint at one thread
-/// and at `N`, then the wall-clock budget against the stored baseline.
-fn fleet_smoke(threads: u32) {
-    let out_path = repo_root().join(FLEET_OUTPUT);
-    let (_, fp_seq) = run_fleet(FLEET_SMOKE, 1);
-    assert_eq!(
-        fp_seq, FLEET_SMOKE_FINGERPRINT,
-        "sequential fleet smoke fingerprint drifted — a routing or engine \
-         change altered simulation semantics"
-    );
+/// Best-of-[`REPS`] wall clock of the smoke scenario, demanding the
+/// pinned fingerprint from every run.
+fn time_fleet_smoke() -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let (seconds, fp) = run_fleet(FLEET_SMOKE, threads);
+        let (seconds, fp) = run_fleet(FLEET_SMOKE);
         assert_eq!(
             fp, FLEET_SMOKE_FINGERPRINT,
-            "threads({threads}) fleet smoke fingerprint diverged from the sequential driver"
+            "fleet smoke fingerprint drifted — a routing or engine change \
+             altered simulation semantics; repin FLEET_SMOKE_FINGERPRINT only \
+             alongside an intentional semantic change"
         );
         best = best.min(seconds);
     }
-    println!("fleet smoke threads({threads}): fingerprint ok, {best:.2}s wall");
-    match read_fleet_smoke_baseline(&out_path) {
+    best
+}
+
+/// `--fleet`: the CI smoke. Pinned fingerprint, then the wall-clock
+/// budget against the stored baseline.
+fn fleet_smoke() {
+    let out_path = repo_root().join(FLEET_OUTPUT);
+    let best = time_fleet_smoke();
+    println!("fleet smoke: fingerprint ok, {best:.2}s wall");
+    match read_fleet_baseline(&out_path, "smoke") {
         Some(baseline) => {
             let ratio = best / baseline;
             if ratio > FLEET_SMOKE_BUDGET {
@@ -512,7 +462,7 @@ fn fleet_smoke(threads: u32) {
         }
         None => {
             eprintln!(
-                "no smoke baseline in {} — run `perfstat --fleet` first",
+                "no smoke baseline in {} — run `perfstat --fleet --rebaseline` first",
                 out_path.display()
             );
             std::process::exit(2);
@@ -520,52 +470,24 @@ fn fleet_smoke(threads: u32) {
     }
 }
 
-/// `--fleet`: measure the headline scenario at every recorded thread
-/// count and refresh `BENCH_fleet.json`.
-fn fleet_measure(rebaseline: bool) {
+/// `--fleet --rebaseline`: time the smoke and the headline and record
+/// both as the new baselines in `BENCH_fleet.json`.
+fn fleet_rebaseline() {
     let out_path = repo_root().join(FLEET_OUTPUT);
-    let baselines = if rebaseline {
-        Vec::new()
-    } else {
-        read_fleet_baselines(&out_path)
-    };
-    // Smoke first: it doubles as the determinism gate for the long runs
-    // and records the CI budget baseline.
-    let (_, fp_seq) = run_fleet(FLEET_SMOKE, 1);
-    let (smoke_s, fp_par) = run_fleet(FLEET_SMOKE, 4);
-    assert_eq!(fp_seq, fp_par, "fleet smoke diverged across thread counts");
-    assert_eq!(
-        fp_seq, FLEET_SMOKE_FINGERPRINT,
-        "fleet smoke fingerprint drifted — repin FLEET_SMOKE_FINGERPRINT \
-         only alongside an intentional semantic change"
-    );
-    println!("fleet smoke: fingerprints ok ({smoke_s:.2}s at 4 threads)");
-    let mut fingerprint: Option<FleetFingerprint> = None;
-    let mut rows = Vec::new();
-    for &threads in FLEET_THREADS {
-        print!("{:<22} threads({threads}) ", FLEET_HEADLINE.name);
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
-        let (seconds, fp) = run_fleet(FLEET_HEADLINE, threads);
-        if let Some(prev) = &fingerprint {
-            assert_eq!(
-                prev, &fp,
-                "headline fingerprint diverged at {threads} threads"
-            );
-        }
-        fingerprint = Some(fp);
-        let baseline = baselines
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map_or(seconds, |&(_, v)| v);
-        println!(
-            "{seconds:>9.3}s  baseline {baseline:>9.3}s  speedup {:>5.2}x",
-            baseline / seconds
-        );
-        rows.push((threads, baseline, seconds));
+    let smoke_s = time_fleet_smoke();
+    println!("{:<22} {smoke_s:>9.3}s  fingerprint ok", FLEET_SMOKE.name);
+    print!("{:<22} ", FLEET_HEADLINE.name);
+    use std::io::Write as _;
+    std::io::stdout().flush().ok();
+    let (headline_s, fingerprint) = run_fleet(FLEET_HEADLINE);
+    match read_fleet_baseline(&out_path, "headline") {
+        Some(old) => println!(
+            "{headline_s:>9.3}s  previous baseline {old:>9.3}s  speedup {:>5.2}x",
+            old / headline_s
+        ),
+        None => println!("{headline_s:>9.3}s"),
     }
-    let fingerprint = fingerprint.expect("at least one thread count");
-    if let Err(e) = write_fleet_json(&out_path, &fingerprint, &rows, (smoke_s, smoke_s)) {
+    if let Err(e) = write_fleet_json(&out_path, &fingerprint, headline_s, smoke_s) {
         eprintln!("could not write {}: {e}", out_path.display());
         std::process::exit(1);
     }
@@ -576,17 +498,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--fleet") {
         match args.get(1).map(String::as_str) {
-            None => fleet_measure(false),
-            Some("--rebaseline") => fleet_measure(true),
-            Some("--threads") => {
-                let threads: u32 = args
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads takes a positive integer");
-                fleet_smoke(threads);
-            }
+            None => fleet_smoke(),
+            Some("--rebaseline") => fleet_rebaseline(),
             Some(other) => {
-                eprintln!("unknown fleet flag {other}; use --rebaseline or --threads N");
+                eprintln!("unknown fleet flag {other}; use --rebaseline");
                 std::process::exit(2);
             }
         }

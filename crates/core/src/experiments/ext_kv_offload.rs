@@ -216,22 +216,17 @@ pub fn run(scale: &Scale) -> FigureResult {
 
     // Determinism at the capacity edge: demote/promote traffic, link
     // queueing, and hint-driven eviction replay bit-identically run over
-    // run and across worker threads.
+    // run.
     let again = run_arm(scale, edge, Some(tiers(EvictionPolicy::InvocationDistance)));
-    let threaded = FleetSim::new(
-        arm_config(scale, edge, Some(tiers(EvictionPolicy::InvocationDistance))).threads(2),
-    )
-    .run();
     result.check(
         "offload-path-is-bit-deterministic",
         dist_edge.ttft_p95_s.to_bits() == again.ttft_p95_s.to_bits()
-            && dist_edge.ttft_p95_s.to_bits() == threaded.ttft_p95_s.to_bits()
-            && dist_edge.kv_hit_rate.to_bits() == threaded.kv_hit_rate.to_bits()
-            && dist_edge.offload_demoted_blocks == threaded.offload_demoted_blocks
-            && dist_edge.offload_promoted_tokens == threaded.offload_promoted_tokens,
+            && dist_edge.kv_hit_rate.to_bits() == again.kv_hit_rate.to_bits()
+            && dist_edge.offload_demoted_blocks == again.offload_demoted_blocks
+            && dist_edge.offload_promoted_tokens == again.offload_promoted_tokens,
         format!(
-            "TTFT p95 bits {:016x}: sequential rerun and threads(2) reproduce \
-             the edge-point report exactly",
+            "TTFT p95 bits {:016x}: a rerun reproduces the edge-point report \
+             exactly",
             dist_edge.ttft_p95_s.to_bits()
         ),
     );

@@ -120,10 +120,6 @@ pub struct DisaggConfig {
     pub autoscale: AutoscalePolicy,
     /// The reconfiguration gap a replica pays per role flip.
     pub flip_cost: FlipCostModel,
-    /// Worker threads for engine stepping. `1` (the default) runs the
-    /// sequential driver; higher counts shard replicas across threads
-    /// with conservative sync. Reports are bit-identical either way.
-    pub threads: u32,
     /// Coordinator-side admission gate: the most prefill-leg calls
     /// allowed in flight at once. New LLM ops queue at the coordinator
     /// until capacity frees; `None` (the default) submits immediately and
@@ -167,7 +163,6 @@ impl DisaggConfig {
             client: ClientModel::OpenLoopPoisson,
             autoscale: AutoscalePolicy::Disabled,
             flip_cost: FlipCostModel::warm(),
-            threads: 1,
             max_inflight_prefill: None,
             discipline: QueueDiscipline::Fifo,
             deadline: None,
@@ -256,14 +251,6 @@ impl DisaggConfig {
     pub fn flip_cost(mut self, model: FlipCostModel) -> Self {
         model.validate().expect("invalid flip cost model");
         self.flip_cost = model;
-        self
-    }
-
-    /// Sets the worker-thread count for engine stepping. Any count
-    /// yields bit-identical reports; `1` keeps the sequential driver.
-    pub fn threads(mut self, threads: u32) -> Self {
-        assert!(threads > 0, "need at least one thread");
-        self.threads = threads;
         self
     }
 

@@ -30,13 +30,9 @@
 //! configured [`QueueDiscipline`]. Under
 //! [`QueueDiscipline::DeadlineDrop`] a session whose deadline has passed
 //! by the time it reaches the head is shed *before* costing any GPU
-//! work — the one overload mechanism this driver has. Everything lives
-//! on the coordinator thread (no engine cancellation, no timers), so the
-//! parallel path replays it bit-exactly; with the gate unset the queue
-//! is never touched and the driver is bit-identical to the pre-gate
-//! code path.
-
-mod par;
+//! work — the one overload mechanism this driver has. With the gate
+//! unset the queue is never touched and the driver is bit-identical to
+//! the pre-gate code path.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -45,7 +41,7 @@ use agentsim_llm::{Engine, EngineObserver, EngineRole, LlmCompletion, MigratedRe
 use agentsim_metrics::Samples;
 use agentsim_session::{
     seeds, Arrival, ArrivalProcess, CallDone, LlmSubmit, QueueDiscipline, SessionCmd,
-    SessionRunner, ShardPool, ToolRng,
+    SessionRunner, ToolRng,
 };
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
@@ -290,26 +286,22 @@ impl DisaggSim {
 
     /// Runs to completion and reports.
     pub fn run(mut self) -> DisaggReport {
-        let threads = (self.config.threads as usize).min(self.replicas.len());
-        if threads > 1 {
-            return self.run_parallel(threads);
-        }
         while let Some((now, event)) = self.queue.pop() {
             match event {
-                Event::Arrival(a) => self.on_arrival(None, a, now),
+                Event::Arrival(a) => self.on_arrival(a, now),
                 Event::Step(r) => self.on_step(r, now),
-                Event::TransferDone(tid) => self.on_transfer_done(None, tid, now),
+                Event::TransferDone(tid) => self.on_transfer_done(tid, now),
                 Event::ToolsDone(sid) => {
                     let cmd = self.sessions[sid as usize]
                         .as_mut()
                         .expect("live session")
                         .on_tools_done(&self.tools, now);
-                    self.exec(None, sid, cmd, now);
+                    self.exec(sid, cmd, now);
                 }
-                Event::FlipDone(r) => self.on_flip_done(None, r, now),
+                Event::FlipDone(r) => self.on_flip_done(r, now),
             }
-            self.drain_dispatch(None, now);
-            self.maybe_autoscale(None, now);
+            self.drain_dispatch(now);
+            self.maybe_autoscale(now);
             self.kick_all(now);
         }
         let expected = self.config.client.total_turns(self.config.num_requests);
@@ -322,8 +314,7 @@ impl DisaggSim {
         self.into_report()
     }
 
-    /// End-of-run invariants shared by the sequential and parallel
-    /// drivers (the latter checks after the pool hands the engines back).
+    /// End-of-run invariants: nothing in flight, nothing leaked.
     fn check_end_state(&self) {
         assert_eq!(self.transfers.outstanding(), 0, "no transfer left behind");
         assert!(self.flip.is_none(), "no flip left in progress");
@@ -335,7 +326,7 @@ impl DisaggSim {
         }
     }
 
-    fn on_arrival(&mut self, pool: Option<&mut ShardPool>, a: Arrival, now: SimTime) {
+    fn on_arrival(&mut self, a: Arrival, now: SimTime) {
         // Chain the next arrival first, so it precedes any event this
         // one schedules at the same instant.
         if let Some(next) = self.client.after_arrival(now) {
@@ -368,7 +359,7 @@ impl DisaggSim {
         assert!(slot.is_none(), "session {} already live", a.session);
         *slot = Some(runner);
         self.session_deadline[a.session as usize] = self.config.deadline.map(|d| now + d);
-        self.exec(pool, a.session, cmd, now);
+        self.exec(a.session, cmd, now);
     }
 
     fn start_chatbot(&mut self, turn: u64, now: SimTime) -> (SessionRunner, SessionCmd) {
@@ -403,18 +394,12 @@ impl DisaggSim {
         )
     }
 
-    /// Work a routing policy sees on `replica`: the pool mirror in
-    /// parallel runs, the engine itself otherwise. Both count
-    /// `queued + running`, and the mirror is delta-exact, so the two
-    /// sources agree at every routing decision.
-    fn replica_load(&self, pool: Option<&ShardPool>, replica: usize) -> usize {
-        match pool {
-            Some(pool) => pool.load(replica),
-            None => self.replicas[replica].queue_len() + self.replicas[replica].running_len(),
-        }
+    /// Work a routing policy sees on `replica`: `queued + running`.
+    fn replica_load(&self, replica: usize) -> usize {
+        self.replicas[replica].queue_len() + self.replicas[replica].running_len()
     }
 
-    fn route_prefill(&mut self, pool: Option<&ShardPool>) -> usize {
+    fn route_prefill(&mut self) -> usize {
         let members = &self.prefill_members;
         match self.config.prefill_routing {
             PoolRouting::RoundRobin => {
@@ -425,12 +410,12 @@ impl DisaggSim {
             PoolRouting::LeastLoaded => members
                 .iter()
                 .copied()
-                .min_by_key(|&r| self.replica_load(pool, r))
+                .min_by_key(|&r| self.replica_load(r))
                 .expect("non-empty prefill pool"),
         }
     }
 
-    fn route_decode(&mut self, pool: Option<&ShardPool>) -> usize {
+    fn route_decode(&mut self) -> usize {
         let members = &self.decode_members;
         match self.config.decode_routing {
             PoolRouting::RoundRobin => {
@@ -441,19 +426,19 @@ impl DisaggSim {
             PoolRouting::LeastLoaded => members
                 .iter()
                 .copied()
-                .min_by_key(|&r| self.replica_load(pool, r) + self.transfers.in_flight(r) as usize)
+                .min_by_key(|&r| self.replica_load(r) + self.transfers.in_flight(r) as usize)
                 .expect("non-empty decode pool"),
         }
     }
 
     /// Executes a session command against the two-pool topology.
-    fn exec(&mut self, pool: Option<&mut ShardPool>, sid: u64, cmd: SessionCmd, now: SimTime) {
+    fn exec(&mut self, sid: u64, cmd: SessionCmd, now: SimTime) {
         match cmd {
             SessionCmd::Llm(op) => {
                 if self.config.max_inflight_prefill.is_none() {
                     // No gate: submit immediately, bit-identical to the
                     // pre-gate driver.
-                    self.submit_calls(pool, sid, op.calls, op.priority, now);
+                    self.submit_calls(sid, op.calls, op.priority, now);
                 } else {
                     let pending = PendingOp {
                         session: sid,
@@ -489,28 +474,16 @@ impl DisaggSim {
 
     /// Routes one op's calls to the prefill pool. Shared by the direct
     /// (gate-off) path and the dispatch queue.
-    fn submit_calls(
-        &mut self,
-        mut pool: Option<&mut ShardPool>,
-        sid: u64,
-        calls: Vec<LlmSubmit>,
-        priority: u32,
-        now: SimTime,
-    ) {
+    fn submit_calls(&mut self, sid: u64, calls: Vec<LlmSubmit>, priority: u32, now: SimTime) {
         for (seq, c) in calls.into_iter().enumerate() {
-            let replica = self.route_prefill(pool.as_deref());
-            let id = match pool.as_deref_mut() {
-                Some(pool) => {
-                    pool.submit(replica, now, c.prompt, c.out_tokens, c.gen_seed, priority)
-                }
-                None => self.replicas[replica].submit_with_priority(
-                    now,
-                    c.prompt,
-                    c.out_tokens,
-                    c.gen_seed,
-                    priority,
-                ),
-            };
+            let replica = self.route_prefill();
+            let id = self.replicas[replica].submit_with_priority(
+                now,
+                c.prompt,
+                c.out_tokens,
+                c.gen_seed,
+                priority,
+            );
             let call = self.calls.len() as u64;
             self.calls.push(CallState {
                 session: sid,
@@ -527,9 +500,8 @@ impl DisaggSim {
     }
 
     /// Admits parked ops while prefill-leg capacity lasts. Runs once per
-    /// event in both drivers (coordinator state only, so the parallel
-    /// path replays it bit-exactly); a no-op with the gate unset.
-    fn drain_dispatch(&mut self, mut pool: Option<&mut ShardPool>, now: SimTime) {
+    /// event; a no-op with the gate unset.
+    fn drain_dispatch(&mut self, now: SimTime) {
         let Some(limit) = self.config.max_inflight_prefill else {
             return;
         };
@@ -543,7 +515,7 @@ impl DisaggSim {
                 self.dispatch.push_front(op);
                 break;
             }
-            self.submit_calls(pool.as_deref_mut(), op.session, op.calls, op.priority, now);
+            self.submit_calls(op.session, op.calls, op.priority, now);
         }
     }
 
@@ -591,46 +563,34 @@ impl DisaggSim {
         let mut completions = std::mem::take(&mut self.step_scratch);
         self.replicas[replica].complete_step_into(now, &mut completions);
         for completion in completions.drain(..) {
-            self.finish_completion(None, replica, &completion, now);
+            self.finish_completion(replica, &completion, now);
         }
         self.step_scratch = completions;
         // Migrations: first token produced, KV ready to move.
         let mut migrations = std::mem::take(&mut self.migration_scratch);
         self.replicas[replica].take_migrations_into(&mut migrations);
         for migration in migrations.drain(..) {
-            self.start_migration(None, replica, migration, now);
+            self.start_migration(replica, migration, now);
         }
         self.migration_scratch = migrations;
     }
 
     /// Routes one finished engine request to the right completion path.
-    fn finish_completion(
-        &mut self,
-        pool: Option<&mut ShardPool>,
-        replica: usize,
-        completion: &LlmCompletion,
-        now: SimTime,
-    ) {
+    fn finish_completion(&mut self, replica: usize, completion: &LlmCompletion, now: SimTime) {
         let call = self
             .owner
             .remove(&(replica, completion.id))
             .expect("completion belongs to a call");
         if self.calls[call as usize].migration.is_some() {
-            self.finish_migrated_call(pool, call, completion, now);
+            self.finish_migrated_call(call, completion, now);
         } else {
-            self.finish_local_call(pool, call, completion, now);
+            self.finish_local_call(call, completion, now);
         }
     }
 
     /// Picks a decode replica for a freshly migrated request and puts its
     /// KV on the wire.
-    fn start_migration(
-        &mut self,
-        pool: Option<&ShardPool>,
-        replica: usize,
-        migration: MigratedRequest,
-        now: SimTime,
-    ) {
+    fn start_migration(&mut self, replica: usize, migration: MigratedRequest, now: SimTime) {
         let call = self
             .owner
             .remove(&(replica, migration.id))
@@ -638,7 +598,7 @@ impl DisaggSim {
         // The prefill leg is over; the gate sees its capacity back even
         // while the KV is on the wire.
         self.inflight_prefill -= 1;
-        let dst = self.route_decode(pool);
+        let dst = self.route_decode();
         let state = &mut self.calls[call as usize];
         state.decode_replica = Some(dst);
         let (tid, arrival) = self.transfers.schedule(now, dst, migration);
@@ -646,7 +606,7 @@ impl DisaggSim {
         self.queue.push(arrival, Event::TransferDone(tid));
     }
 
-    fn on_transfer_done(&mut self, pool: Option<&mut ShardPool>, tid: u64, now: SimTime) {
+    fn on_transfer_done(&mut self, tid: u64, now: SimTime) {
         let call = self
             .transfer_owner
             .remove(&tid)
@@ -654,10 +614,7 @@ impl DisaggSim {
         let pt = self.transfers.complete(tid);
         // A draining destination still accepts this: the KV was committed
         // to it before the drain began, and a flip waits for it to land.
-        let id = match pool {
-            Some(pool) => pool.submit_prefilled(pt.dst, now, pt.migration.clone()),
-            None => self.replicas[pt.dst].submit_prefilled(now, &pt.migration),
-        };
+        let id = self.replicas[pt.dst].submit_prefilled(now, &pt.migration);
         let state = &mut self.calls[call as usize];
         state.decode_submitted = Some(now);
         state.transfer_wait = pt.transfer.wait();
@@ -666,13 +623,7 @@ impl DisaggSim {
     }
 
     /// A call that completed without leaving the prefill pool.
-    fn finish_local_call(
-        &mut self,
-        pool: Option<&mut ShardPool>,
-        call: u64,
-        completion: &LlmCompletion,
-        now: SimTime,
-    ) {
+    fn finish_local_call(&mut self, call: u64, completion: &LlmCompletion, now: SimTime) {
         self.inflight_prefill -= 1;
         let state = &self.calls[call as usize];
         // First token lands at the end of the prefill phase; clamp for
@@ -697,17 +648,11 @@ impl DisaggSim {
             kv_bytes: 0,
             preemptions: completion.preemptions,
         });
-        self.finish_call_in_session(pool, call, completion.output_tokens, now);
+        self.finish_call_in_session(call, completion.output_tokens, now);
     }
 
     /// A call that prefilled, migrated, and decoded to completion.
-    fn finish_migrated_call(
-        &mut self,
-        pool: Option<&mut ShardPool>,
-        call: u64,
-        completion: &LlmCompletion,
-        now: SimTime,
-    ) {
+    fn finish_migrated_call(&mut self, call: u64, completion: &LlmCompletion, now: SimTime) {
         let state = &self.calls[call as usize];
         let m = state.migration.as_ref().expect("migrated call has a leg");
         debug_assert!(
@@ -733,19 +678,13 @@ impl DisaggSim {
             kv_bytes: m.kv_bytes,
             preemptions: m.preemptions + completion.preemptions,
         });
-        self.finish_call_in_session(pool, call, completion.output_tokens, now);
+        self.finish_call_in_session(call, completion.output_tokens, now);
     }
 
     /// Session bookkeeping shared by both completion paths. The session
     /// level only needs the output-token count — per-leg engine records
     /// are already stitched into [`CallRecord`]s.
-    fn finish_call_in_session(
-        &mut self,
-        pool: Option<&mut ShardPool>,
-        call: u64,
-        output_tokens: u32,
-        now: SimTime,
-    ) {
+    fn finish_call_in_session(&mut self, call: u64, output_tokens: u32, now: SimTime) {
         let state = &self.calls[call as usize];
         let (sid, seq) = (state.session, state.seq);
         let cmd = self.sessions[sid as usize]
@@ -753,25 +692,19 @@ impl DisaggSim {
             .expect("live session")
             .on_call_done(seq, CallDone::tokens_only(output_tokens), &self.tools, now);
         if let Some(cmd) = cmd {
-            self.exec(pool, sid, cmd, now);
+            self.exec(sid, cmd, now);
         }
     }
 
     /// Advances the autoscaler: finishes detecting a drain in progress,
     /// or asks the controller whether to start a new flip. No-op (and
     /// bit-exactly free) with autoscaling disabled.
-    ///
-    /// In parallel runs the caller must have resolved every in-flight
-    /// kick before the controller observes (the waiting/running *split*
-    /// is only mirror-exact once pending admissions have landed); the
-    /// drain check needs no such sync — `load` and `busy` are delta-exact
-    /// at all times.
-    fn maybe_autoscale(&mut self, mut pool: Option<&mut ShardPool>, now: SimTime) {
+    fn maybe_autoscale(&mut self, now: SimTime) {
         if self.flip.is_none() && self.controller.is_some() {
-            let obs = self.observation(pool.as_deref(), now);
+            let obs = self.observation(now);
             let decision = self.controller.as_mut().expect("controller").observe(&obs);
             if let Some(direction) = decision {
-                self.start_flip(pool.as_deref_mut(), direction, now);
+                self.start_flip(direction, now);
             }
         }
         // Drain detection runs in the same pass, so a flip of an
@@ -780,11 +713,7 @@ impl DisaggSim {
         if let Some(flip) = &self.flip {
             if flip.drained.is_none() {
                 let r = flip.replica;
-                let idle = match pool.as_deref() {
-                    Some(pool) => pool.load(r) == 0 && !pool.busy(r),
-                    None => !self.replicas[r].has_work(),
-                };
-                if idle && self.transfers.in_flight(r) == 0 {
+                if !self.replicas[r].has_work() && self.transfers.in_flight(r) == 0 {
                     self.flip.as_mut().expect("flip in progress").drained = Some(now);
                     let at = now + self.config.flip_cost.flip_time();
                     self.queue.push(at, Event::FlipDone(r));
@@ -794,28 +723,16 @@ impl DisaggSim {
     }
 
     /// Snapshot of live pool demand for the controller.
-    fn observation(
-        &self,
-        pool: Option<&ShardPool>,
-        now: SimTime,
-    ) -> crate::autoscale::PoolObservation {
-        let queue_of = |r: usize| match pool {
-            Some(pool) => pool.queue_len(r),
-            None => self.replicas[r].queue_len(),
-        };
-        let running_of = |r: usize| match pool {
-            Some(pool) => pool.running_len(r),
-            None => self.replicas[r].running_len(),
-        };
+    fn observation(&self, now: SimTime) -> crate::autoscale::PoolObservation {
         let (mut pq, mut pr) = (0usize, 0usize);
         for &r in &self.prefill_members {
-            pq += queue_of(r);
-            pr += running_of(r);
+            pq += self.replicas[r].queue_len();
+            pr += self.replicas[r].running_len();
         }
         let (mut dq, mut dr, mut tif) = (0usize, 0usize, 0usize);
         for &r in &self.decode_members {
-            dq += queue_of(r);
-            dr += running_of(r);
+            dq += self.replicas[r].queue_len();
+            dr += self.replicas[r].running_len();
             tif += self.transfers.in_flight(r) as usize;
         }
         crate::autoscale::PoolObservation {
@@ -834,7 +751,7 @@ impl DisaggSim {
     /// Starts draining the least-loaded source-pool replica toward the
     /// other pool. Infeasible requests (source pool at one replica) are
     /// dropped, deterministically.
-    fn start_flip(&mut self, pool: Option<&mut ShardPool>, direction: FlipDirection, now: SimTime) {
+    fn start_flip(&mut self, direction: FlipDirection, now: SimTime) {
         let source = match direction {
             FlipDirection::PrefillToDecode => &self.prefill_members,
             FlipDirection::DecodeToPrefill => &self.decode_members,
@@ -849,7 +766,7 @@ impl DisaggSim {
             .copied()
             .min_by_key(|&r| {
                 (
-                    self.replica_load(pool.as_deref(), r) + self.transfers.in_flight(r) as usize,
+                    self.replica_load(r) + self.transfers.in_flight(r) as usize,
                     r,
                 )
             })
@@ -858,10 +775,7 @@ impl DisaggSim {
             FlipDirection::PrefillToDecode => self.prefill_members.retain(|&r| r != victim),
             FlipDirection::DecodeToPrefill => self.decode_members.retain(|&r| r != victim),
         }
-        match pool {
-            Some(pool) => pool.begin_drain(victim),
-            None => self.replicas[victim].begin_drain(),
-        }
+        self.replicas[victim].begin_drain();
         self.flip = Some(FlipInProgress {
             replica: victim,
             direction,
@@ -872,17 +786,14 @@ impl DisaggSim {
 
     /// The reconfiguration gap ended: the drained replica joins the
     /// target pool in its new role.
-    fn on_flip_done(&mut self, pool: Option<&mut ShardPool>, replica: usize, now: SimTime) {
+    fn on_flip_done(&mut self, replica: usize, now: SimTime) {
         let flip = self.flip.take().expect("flip completion without a flip");
         assert_eq!(flip.replica, replica, "flip completion for wrong replica");
         let (role, members) = match flip.direction {
             FlipDirection::PrefillToDecode => (EngineRole::Decode, &mut self.decode_members),
             FlipDirection::DecodeToPrefill => (EngineRole::Prefill, &mut self.prefill_members),
         };
-        match pool {
-            Some(pool) => pool.finish_drain(replica, now, role),
-            None => self.replicas[replica].finish_drain(now, role),
-        }
+        self.replicas[replica].finish_drain(now, role);
         let pos = members.partition_point(|&r| r < replica);
         members.insert(pos, replica);
         self.flips.push(FlipRecord {
@@ -1052,6 +963,51 @@ mod tests {
         assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
         assert_eq!(a.transferred_bytes, b.transferred_bytes);
         assert_eq!(a.calls, b.calls);
+        // Rows that no golden pins: a flip scheduled into a storm of
+        // 16-chunk trains on a slow link (the drain gate must wait for
+        // chunked transfers), a hair-trigger hysteresis controller, and
+        // a replayed arrival trace.
+        let mid_drain = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.2, 16)
+            .seed(0xF11D)
+            .pools(2, 2)
+            .link(LinkSpec {
+                name: "slow",
+                bandwidth_bytes_per_s: 5e8,
+                latency: SimDuration::from_micros(40),
+            })
+            .transfer_chunks(16)
+            .flip_cost(FlipCostModel::warm())
+            .autoscale(AutoscalePolicy::Schedule(vec![
+                (SimTime::from_secs_f64(3.0), FlipDirection::DecodeToPrefill),
+                (SimTime::from_secs_f64(9.0), FlipDirection::PrefillToDecode),
+            ]));
+        let hysteresis = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 24)
+            .seed(8)
+            .pools(1, 3)
+            .flip_cost(FlipCostModel::zero())
+            .autoscale(AutoscalePolicy::Hysteresis(
+                crate::autoscale::HysteresisConfig {
+                    high: 1.2,
+                    low: 0.1,
+                    dwell: SimDuration::ZERO,
+                    ..Default::default()
+                },
+            ));
+        let gaps = (0..24)
+            .map(|i| SimDuration::from_secs_f64([0.05, 0.5, 0.12, 0.9][i % 4]))
+            .collect();
+        let replay = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.2, 20)
+            .seed(0xC11E)
+            .pools(2, 2)
+            .client(ClientModel::TraceReplay { gaps });
+        for cfg in [mid_drain, hysteresis, replay] {
+            let a = DisaggSim::new(cfg.clone()).run();
+            let b = DisaggSim::new(cfg).run();
+            assert_eq!(a.calls, b.calls);
+            assert_eq!(a.flips, b.flips);
+            assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+            assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
+        }
     }
 
     #[test]
@@ -1237,19 +1193,19 @@ mod tests {
     }
 
     #[test]
-    fn gated_parallel_run_matches_sequential_bit_for_bit() {
+    fn gated_runs_are_deterministic_across_runs() {
         let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 4.0, 20)
             .seed(6)
             .pools(2, 2)
             .max_inflight_prefill(2)
             .discipline(QueueDiscipline::DeadlineDrop)
             .deadline(SimDuration::from_secs(12));
-        let sequential = DisaggSim::new(cfg.clone()).run();
-        let parallel = DisaggSim::new(cfg.threads(3)).run();
-        assert_eq!(sequential.calls, parallel.calls);
-        assert_eq!(sequential.abandoned, parallel.abandoned);
-        assert_eq!(sequential.p95_s.to_bits(), parallel.p95_s.to_bits());
-        assert_eq!(sequential.energy_wh.to_bits(), parallel.energy_wh.to_bits());
+        let a = DisaggSim::new(cfg.clone()).run();
+        let b = DisaggSim::new(cfg).run();
+        assert_eq!(a.calls, b.calls);
+        assert_eq!(a.abandoned, b.abandoned);
+        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
+        assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
     }
 
     #[test]

@@ -212,8 +212,8 @@ mod tests {
 
     #[test]
     fn heterogeneous_presets_differ_in_step_floor_inputs() {
-        // The parallel drivers' per-replica lookahead depends on
-        // weights / bandwidth: make sure the presets actually spread.
+        // A decode step's floor is weights / bandwidth: heterogeneous
+        // pools only differ in step cost if the presets actually spread.
         let a100 = ClusterSpec::a100_llama8b();
         let h100 = ClusterSpec::h100_llama8b();
         let l40s = ClusterSpec::l40s_llama8b();

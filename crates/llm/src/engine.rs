@@ -94,10 +94,6 @@ pub struct Engine {
     /// Requests marked for cancellation, purged at the next step boundary
     /// (see [`Engine::cancel`]).
     cancelled: Vec<RequestId>,
-    /// End time of the most recently completed step; cancellation purges
-    /// are stamped no earlier than this, so their [`EngineEvent::Abandoned`]
-    /// timestamps stay monotone with step events.
-    last_step_end: SimTime,
     /// HBM↔host offload path; present iff `config.offload` is.
     host_link: Option<Link>,
     /// Host↔NVMe offload path; present iff `config.offload` is.
@@ -142,7 +138,6 @@ impl Engine {
             migrations: Vec::new(),
             draining: false,
             cancelled: Vec::new(),
-            last_step_end: SimTime::ZERO,
             host_link,
             nvme_link,
             tier_events: Vec::new(),
@@ -160,11 +155,6 @@ impl Engine {
     /// Detaches and returns the current observer, if any.
     pub fn clear_observer(&mut self) -> Option<Box<dyn EngineObserver>> {
         self.observer.take()
-    }
-
-    /// Whether an observer is attached.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// The engine configuration.
@@ -589,7 +579,6 @@ impl Engine {
         // those demotes are asynchronous, so the stall is always zero.
         let stall = self.charge_tier_transfers(now, SimDuration::ZERO);
         debug_assert!(stall.is_zero(), "promotion outside admission");
-        self.last_step_end = now;
         if !self.cancelled.is_empty() {
             self.purge_cancelled(now);
         }
@@ -613,10 +602,7 @@ impl Engine {
     pub fn cancel(&mut self, now: SimTime, id: RequestId) {
         self.cancelled.push(id);
         if self.step.is_none() {
-            // Stamp at the last step boundary if the cancellation instant
-            // precedes it (a worker thread processing commands ahead of
-            // the coordinator clock); event times stay monotone.
-            self.purge_cancelled(now.max(self.last_step_end));
+            self.purge_cancelled(now);
         }
     }
 
@@ -1123,8 +1109,9 @@ impl Engine {
     }
 }
 
-// The parallel fleet drivers move engines onto worker threads; this fails
-// to compile if a non-`Send` field (e.g. an `Rc`) sneaks into `Engine`.
+// Simulators run on one thread, but a caller may build one on one thread
+// and run it on another; this fails to compile if a non-`Send` field
+// (e.g. an `Rc`) sneaks into `Engine`.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Engine>();
@@ -1450,9 +1437,8 @@ mod tests {
             lines.iter().filter(|l| *l == "step decode").count() as u64,
             e.metrics().decode_steps
         );
-        assert!(e.has_observer());
         assert!(e.clear_observer().is_some());
-        assert!(!e.has_observer());
+        assert!(e.clear_observer().is_none());
     }
 
     #[test]

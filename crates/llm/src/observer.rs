@@ -40,7 +40,7 @@
 //!     now = end;
 //!     engine.complete_step(now);
 //! }
-//! assert!(engine.has_observer());
+//! assert!(engine.clear_observer().is_some());
 //! ```
 
 use agentsim_simkit::SimTime;
@@ -230,10 +230,10 @@ impl EngineEvent<'_> {
 /// spacing; they receive events synchronously from inside the engine's
 /// submit/step methods.
 ///
-/// The `Send` bound exists so an [`Engine`](crate::Engine) carrying an
-/// observer can migrate to a worker thread in the parallel fleet drivers.
-/// Shared-state observers should hold `Arc<Mutex<..>>` rather than
-/// `Rc<RefCell<..>>`.
+/// The `Send` bound keeps an [`Engine`](crate::Engine) carrying an
+/// observer movable across threads (a simulator built on one thread can
+/// run on another). Shared-state observers should hold `Arc<Mutex<..>>`
+/// rather than `Rc<RefCell<..>>`.
 pub trait EngineObserver: std::fmt::Debug + Send {
     /// Called for every engine event, in emission order.
     fn on_event(&mut self, event: &EngineEvent<'_>);

@@ -38,6 +38,6 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use queue::{EventQueue, SlotId};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

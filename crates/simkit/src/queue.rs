@@ -35,28 +35,6 @@ pub struct EventQueue<E> {
     seq: u64,
 }
 
-/// A sequence number reserved by [`EventQueue::reserve_slot`] but not yet
-/// holding an event.
-///
-/// Reserving a slot fixes the event's FIFO rank among same-instant events
-/// *now*, while the event itself (and even its timestamp) can be supplied
-/// later via [`EventQueue::push_reserved`]. Parallel drivers use this to
-/// pin the ordering of step-completion events at the moment the step is
-/// kicked off, before the worker thread has computed when it ends.
-///
-/// The type is intentionally not `Copy`/`Clone`: each reservation is
-/// consumed by exactly one `push_reserved`.
-#[derive(Debug)]
-pub struct SlotId(u64);
-
-impl SlotId {
-    /// The raw sequence number, for ordering comparisons against
-    /// [`EventQueue::peek_key`].
-    pub fn seq(&self) -> u64 {
-        self.0
-    }
-}
-
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
@@ -97,31 +75,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Entry { at, seq, event }));
     }
 
-    /// Reserves the next sequence number without inserting an event.
-    ///
-    /// The returned [`SlotId`] must later be redeemed with
-    /// [`push_reserved`](Self::push_reserved); until then the queue simply
-    /// skips that sequence number. Events pushed after the reservation sort
-    /// *after* the reserved slot at the same instant, exactly as if the
-    /// reserved event had been pushed here.
-    pub fn reserve_slot(&mut self) -> SlotId {
-        let seq = self.seq;
-        self.seq += 1;
-        SlotId(seq)
-    }
-
-    /// Schedules `event` at `at` under a previously reserved slot.
-    ///
-    /// Its FIFO rank among same-instant events is the reservation point,
-    /// not the call point.
-    pub fn push_reserved(&mut self, slot: SlotId, at: SimTime, event: E) {
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: slot.0,
-            event,
-        }));
-    }
-
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.event))
@@ -130,13 +83,6 @@ impl<E> EventQueue<E> {
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// The full ordering key `(time, sequence)` of the earliest pending
-    /// event, if any. Lets callers compare the queue head against
-    /// reservations that have not been redeemed yet.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
     }
 
     /// Number of pending events.
@@ -223,42 +169,6 @@ mod tests {
             .map(|i| (SimTime::from_micros(i), i as u32))
             .collect();
         assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn reserved_slot_keeps_insertion_rank() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(7);
-        q.push(t, "a");
-        let slot = q.reserve_slot();
-        q.push(t, "c"); // pushed before the slot is redeemed...
-        q.push_reserved(slot, t, "b"); // ...but the slot was reserved first
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn reserved_slot_timestamp_is_chosen_at_redeem_time() {
-        let mut q = EventQueue::new();
-        let slot = q.reserve_slot();
-        q.push(SimTime::from_micros(5), "later");
-        q.push_reserved(slot, SimTime::from_micros(3), "earlier");
-        assert_eq!(q.pop(), Some((SimTime::from_micros(3), "earlier")));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "later")));
-    }
-
-    #[test]
-    fn peek_key_exposes_head_sequence() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_key(), None);
-        let t = SimTime::from_micros(9);
-        q.push(t, 1);
-        q.push(t, 2);
-        let (at, seq) = q.peek_key().unwrap();
-        assert_eq!(at, t);
-        q.pop();
-        let (_, seq2) = q.peek_key().unwrap();
-        assert!(seq2 > seq);
     }
 
     #[test]
