@@ -21,26 +21,14 @@
 //! migrated calls), that both report JSON summaries parse, and that the
 //! streamed span lines are valid JSON; it writes nothing permanent.
 //!
-//! `--autoscale` replays a pinned one-flip schedule over a 2P+2D split
-//! (the `autoscale_flip_schedule` golden) and checks the report
-//! fingerprint bit for bit, the flip's drain/gap telescoping, and the
-//! five-phase partition across the role change; it writes nothing.
-//!
-//! `--pipeline` replays the contended-PCIe cell twice — whole-footprint
-//! serial transfers and 32-chunk layer-wise trains — pinning both
-//! fingerprints bit for bit (the serial one against the pre-pipeline
-//! driver's golden) and requiring the chunked arm to shrink the
-//! transfer phase by at least 25%; it writes nothing.
+//! The pinned disagg fingerprints (flip schedule, serial and pipelined
+//! transfers) live in the golden table, `crates/serving/tests/golden.rs`.
 
 use std::path::PathBuf;
 
-use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_metrics::json;
-use agentsim_serving::{
-    AutoscalePolicy, DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, FlipDirection,
-    SpanStreamWriter,
-};
-use agentsim_simkit::{SimDuration, SimTime};
+use agentsim_serving::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload, SpanStreamWriter};
+use agentsim_simkit::SimDuration;
 
 /// Builds the two iso-GPU configurations compared throughout.
 fn configs(requests: u64) -> (DisaggConfig, DisaggConfig) {
@@ -119,159 +107,6 @@ fn verify_stream(label: &str, writer: &SpanStreamWriter, path: &std::path::Path)
     assert_eq!(lines, writer.written(), "{label}: line count");
 }
 
-/// Replays the pinned one-flip schedule (the `autoscale_flip_schedule`
-/// golden configuration) and checks its fingerprint bit for bit.
-fn autoscale_check() {
-    let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 16)
-        .seed(0xD15A)
-        .pools(2, 2)
-        .flip_cost(FlipCostModel::warm())
-        .autoscale(AutoscalePolicy::Schedule(vec![(
-            SimTime::from_secs_f64(8.0),
-            FlipDirection::PrefillToDecode,
-        )]));
-    let report = DisaggSim::new(cfg).run();
-    verify_partition("autoscale", &report);
-
-    assert_eq!(report.flips.len(), 1, "the scheduled flip must execute");
-    let flip = &report.flips[0];
-    assert_eq!(flip.direction, FlipDirection::PrefillToDecode);
-    assert!(
-        flip.requested <= flip.drained && flip.drained <= flip.completed,
-        "flip timestamps must telescope"
-    );
-    assert_eq!(
-        flip.flip_gap(),
-        FlipCostModel::warm().flip_time(),
-        "reconfiguration gap must match the cost model"
-    );
-
-    // The pinned fingerprint of `autoscale_flip_schedule` in
-    // crates/disagg/tests/golden.rs — bit-exact, no tolerance.
-    let mut ttft = report.ttft();
-    let mut tpot = report.tpot();
-    let got = (
-        report.completed,
-        report.migrated_calls,
-        report.transferred_bytes,
-        report.p95_s.to_bits(),
-        ttft.p95().to_bits(),
-        tpot.percentile(99.0).to_bits(),
-    );
-    let want = (
-        16u64,
-        89u64,
-        20497563648u64,
-        0x403430316a055758u64,
-        0x3fb1b25f633ce63au64,
-        0x3f8fb69984a0e411u64,
-    );
-    assert_eq!(
-        got, want,
-        "autoscale fingerprint drifted from the pinned golden"
-    );
-    println!(
-        "autoscale: {} calls, 1 flip (drain {:.3} s, gap {:.3} s), fingerprint ok",
-        report.calls.len(),
-        flip.drain_time().as_secs_f64(),
-        flip.flip_gap().as_secs_f64(),
-    );
-}
-
-/// Fingerprint of a pipeline-cell report: counters exact, floats as
-/// bit patterns.
-fn pipeline_fingerprint(report: &DisaggReport) -> (u64, u64, u64, u64, u64, u64, u64) {
-    let mut ttft = report.ttft();
-    let mut tpot = report.tpot();
-    (
-        report.completed,
-        report.migrated_calls,
-        report.transferred_bytes,
-        report.transfer_wait.as_micros(),
-        report.p95_s.to_bits(),
-        ttft.p95().to_bits(),
-        tpot.percentile(99.0).to_bits(),
-    )
-}
-
-/// Replays the contended-PCIe cell serially and as 32-chunk pipelined
-/// trains, pinning both fingerprints bit for bit. The serial constants
-/// are the pre-pipeline driver's (also pinned by
-/// `crates/disagg/tests/pipeline_differential.rs`); the chunked
-/// constants are this driver's own golden going forward.
-fn pipeline_check() {
-    let cell = |chunks: u32| {
-        DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 20)
-            .seed(0x9C1E)
-            .pools(1, 1)
-            .link(LinkSpec::pcie_gen4())
-            .transfer_chunks(chunks)
-    };
-
-    let serial = DisaggSim::new(cell(1)).run();
-    verify_partition("pipeline serial", &serial);
-    assert_eq!(
-        pipeline_fingerprint(&serial),
-        (
-            20u64,
-            91u64,
-            18838716416u64,
-            26886u64,
-            0x4032da21fafc8b00u64,
-            0x3fb878316a055758u64,
-            0x3f90f16f4384ba0fu64,
-        ),
-        "serial fingerprint drifted from the pre-pipeline golden"
-    );
-    assert!(
-        serial.links.iter().all(|l| l.chunks == l.transfers),
-        "serial arm must move exactly one chunk per transfer"
-    );
-
-    let pipelined = DisaggSim::new(cell(32)).run();
-    verify_partition("pipeline chunked", &pipelined);
-    assert_eq!(
-        pipeline_fingerprint(&pipelined),
-        (
-            20u64,
-            87u64,
-            17957912576u64,
-            63641u64,
-            0x403052ec5b078d93u64,
-            0x3fb5e03f705857b0u64,
-            0x3f909784ec636b09u64,
-        ),
-        "pipelined fingerprint drifted from the pinned golden"
-    );
-    assert!(
-        pipelined.links.iter().any(|l| l.chunks > l.transfers),
-        "pipelined arm must ship multi-chunk trains"
-    );
-
-    let transfer = |r: &DisaggReport| {
-        r.phase_totals()
-            .iter()
-            .find(|(n, _)| *n == "transfer")
-            .map(|(_, s)| *s)
-            .expect("transfer phase")
-    };
-    let (ser_t, pipe_t) = (transfer(&serial), transfer(&pipelined));
-    assert!(
-        pipe_t <= 0.75 * ser_t,
-        "pipelining must shrink the transfer phase >=25% (serial {ser_t:.3} s, chunked {pipe_t:.3} s)"
-    );
-    println!(
-        "pipeline: {} migrations, transfer phase {:.3} -> {:.3} s ({:.0}% smaller), \
-         wait {:.1} -> {:.1} ms, both fingerprints ok",
-        serial.migrated_calls,
-        ser_t,
-        pipe_t,
-        (1.0 - pipe_t / ser_t) * 100.0,
-        serial.transfer_wait.as_secs_f64() * 1e3,
-        pipelined.transfer_wait.as_secs_f64() * 1e3,
-    );
-}
-
 /// Locates the repository root (directory containing a workspace
 /// `Cargo.toml`) by walking up from the current directory.
 fn repo_root() -> PathBuf {
@@ -294,18 +129,8 @@ fn repo_root() -> PathBuf {
 fn main() {
     let check = match std::env::args().nth(1).as_deref() {
         Some("--check") => true,
-        Some("--autoscale") => {
-            autoscale_check();
-            println!("disaggstat --autoscale passed");
-            return;
-        }
-        Some("--pipeline") => {
-            pipeline_check();
-            println!("disaggstat --pipeline passed");
-            return;
-        }
         Some(other) => {
-            eprintln!("unknown flag {other}; use --check, --autoscale, or --pipeline");
+            eprintln!("unknown flag {other}; use --check");
             std::process::exit(2);
         }
         None => false,

@@ -217,10 +217,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     );
     result.check(
         "autoscaled-run-is-bit-deterministic",
-        a.p95_s.to_bits() == b.p95_s.to_bits()
-            && a.energy_wh.to_bits() == b.energy_wh.to_bits()
-            && a.flips == b.flips
-            && a.calls == b.calls,
+        a.fingerprint() == b.fingerprint() && a.flips == b.flips && a.calls == b.calls,
         format!(
             "two runs, identical bits: p95 {:#x}, {} flips",
             a.p95_s.to_bits(),

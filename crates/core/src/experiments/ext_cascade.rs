@@ -246,10 +246,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     };
     result.check(
         "cascade-deterministic-across-runs",
-        again.solved == cascade.report.solved
-            && again.escalated == cascade.report.escalated
-            && again.p95_s.to_bits() == cascade.report.p95_s.to_bits()
-            && again.tpot_p99_s.to_bits() == cascade.report.tpot_p99_s.to_bits(),
+        again.fingerprint() == cascade.report.fingerprint(),
         format!(
             "rerun: solved {} vs {}, escalated {} vs {}, p95 {:.6} vs {:.6}",
             again.solved,

@@ -203,11 +203,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let zero = run_arm(scale, mid, Some(OffloadConfig::tiers(0, 0)));
     result.check(
         "zero-capacity-tiers-recover-the-no-offload-run",
-        zero.ttft_p95_s.to_bits() == plain_mid.ttft_p95_s.to_bits()
-            && zero.p95_s.to_bits() == plain_mid.p95_s.to_bits()
-            && zero.kv_hit_rate.to_bits() == plain_mid.kv_hit_rate.to_bits()
-            && zero.offload_demoted_blocks == 0
-            && zero.offload_host_bytes == 0,
+        zero.fingerprint() == plain_mid.fingerprint(),
         format!(
             "tiers(0, 0) at {mid} users: TTFT p95 bits {:016x} match no-offload",
             zero.ttft_p95_s.to_bits()
@@ -220,10 +216,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let again = run_arm(scale, edge, Some(tiers(EvictionPolicy::InvocationDistance)));
     result.check(
         "offload-path-is-bit-deterministic",
-        dist_edge.ttft_p95_s.to_bits() == again.ttft_p95_s.to_bits()
-            && dist_edge.kv_hit_rate.to_bits() == again.kv_hit_rate.to_bits()
-            && dist_edge.offload_demoted_blocks == again.offload_demoted_blocks
-            && dist_edge.offload_promoted_tokens == again.offload_promoted_tokens,
+        dist_edge.fingerprint() == again.fingerprint(),
         format!(
             "TTFT p95 bits {:016x}: a rerun reproduces the edge-point report \
              exactly",

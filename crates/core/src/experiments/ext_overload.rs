@@ -207,10 +207,7 @@ pub fn run(scale: &Scale) -> FigureResult {
     let again = run_point(scale, collapse_qps, adaptive_policy());
     result.check(
         "overload-path-is-bit-deterministic",
-        adaptive_end.goodput.to_bits() == again.goodput.to_bits()
-            && adaptive_end.wasted_gpu_s.to_bits() == again.wasted_gpu_s.to_bits()
-            && adaptive_end.cancelled == again.cancelled
-            && adaptive_end.dropped == again.dropped,
+        adaptive_end.fingerprint() == again.fingerprint(),
         format!(
             "goodput bits {:016x}: a rerun reproduces the collapse-point report \
              exactly",

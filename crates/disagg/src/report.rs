@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use agentsim_metrics::{json, Samples};
+use agentsim_metrics::{json, Fingerprint, Samples};
 use agentsim_simkit::{SimDuration, SimTime};
 
 use crate::autoscale::FlipDirection;
@@ -341,6 +341,32 @@ impl DisaggReport {
             ("decode", sums[3].as_secs_f64()),
             ("stall", sums[4].as_secs_f64()),
         ]
+    }
+
+    /// Every field the golden table and the equality tests pin, floats
+    /// as bit patterns. Call percentiles over an empty set (an all-shed
+    /// run, chatbot TPOT) pin as NaN.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let mut ttft = self.ttft();
+        let mut tpot = self.tpot();
+        Fingerprint::new()
+            .int("completed", self.completed)
+            .int("solved", self.solved)
+            .int("abandoned", self.abandoned)
+            .float("p50_s", self.p50_s)
+            .float("p95_s", self.p95_s)
+            .float("ttft_p95_s", ttft.try_p95().unwrap_or(f64::NAN))
+            .float("tpot_p99_s", tpot.try_percentile(99.0).unwrap_or(f64::NAN))
+            .int("migrated_calls", self.migrated_calls)
+            .int("transferred_bytes", self.transferred_bytes)
+            .int("transfer_wait", self.transfer_wait.as_micros())
+            .float("energy_wh", self.energy_wh)
+            .float("kv_hit_rate", self.kv_hit_rate)
+            .int("offload_demoted_blocks", self.offload_demoted_blocks)
+            .int("offload_promoted_blocks", self.offload_promoted_blocks)
+            .int("offload_promoted_tokens", self.offload_promoted_tokens)
+            .int("offload_dropped_blocks", self.offload_dropped_blocks)
+            .int("preemptions", self.preemptions)
     }
 
     /// Summary as one JSON object (valid per `agentsim_metrics::json`).

@@ -960,8 +960,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = react(0.5, 8);
         let b = react(0.5, 8);
-        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-        assert_eq!(a.transferred_bytes, b.transferred_bytes);
+        assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.calls, b.calls);
         // Rows that no golden pins: a flip scheduled into a storm of
         // 16-chunk trains on a slow link (the drain gate must wait for
@@ -1005,8 +1004,7 @@ mod tests {
             let b = DisaggSim::new(cfg).run();
             assert_eq!(a.calls, b.calls);
             assert_eq!(a.flips, b.flips);
-            assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-            assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
+            assert_eq!(a.fingerprint(), b.fingerprint());
         }
     }
 
@@ -1070,8 +1068,7 @@ mod tests {
         let disabled = DisaggSim::new(cfg.clone()).run();
         let pinned = DisaggSim::new(cfg.autoscale(AutoscalePolicy::Pinned)).run();
         assert_eq!(disabled.calls, pinned.calls);
-        assert_eq!(disabled.p95_s.to_bits(), pinned.p95_s.to_bits());
-        assert_eq!(disabled.energy_wh.to_bits(), pinned.energy_wh.to_bits());
+        assert_eq!(disabled.fingerprint(), pinned.fingerprint());
         assert!(pinned.flips.is_empty());
     }
 
@@ -1203,9 +1200,7 @@ mod tests {
         let a = DisaggSim::new(cfg.clone()).run();
         let b = DisaggSim::new(cfg).run();
         assert_eq!(a.calls, b.calls);
-        assert_eq!(a.abandoned, b.abandoned);
-        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-        assert_eq!(a.energy_wh.to_bits(), b.energy_wh.to_bits());
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

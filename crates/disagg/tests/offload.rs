@@ -4,43 +4,10 @@
 //! runs, and vanish completely at zero capacity.
 
 use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim, DisaggWorkload};
+use agentsim_disagg::{DisaggConfig, DisaggSim, DisaggWorkload};
 use agentsim_kvcache::EvictionPolicy;
 use agentsim_llm::{EngineConfig, OffloadConfig};
 use agentsim_workloads::Benchmark;
-
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    completed: u64,
-    solved: u64,
-    p50_bits: u64,
-    p95_bits: u64,
-    kv_hit_bits: u64,
-    energy_bits: u64,
-    preemptions: u64,
-    demoted: u64,
-    promoted: u64,
-    promoted_tokens: u64,
-    dropped: u64,
-}
-
-impl Fingerprint {
-    fn of(r: &DisaggReport) -> Self {
-        Fingerprint {
-            completed: r.completed,
-            solved: r.solved,
-            p50_bits: r.p50_s.to_bits(),
-            p95_bits: r.p95_s.to_bits(),
-            kv_hit_bits: r.kv_hit_rate.to_bits(),
-            energy_bits: r.energy_wh.to_bits(),
-            preemptions: r.preemptions,
-            demoted: r.offload_demoted_blocks,
-            promoted: r.offload_promoted_blocks,
-            promoted_tokens: r.offload_promoted_tokens,
-            dropped: r.offload_dropped_blocks,
-        }
-    }
-}
 
 /// A KV-constrained 1P+1D split under an agentic workload: enough
 /// eviction pressure that the tiers see real traffic.
@@ -90,16 +57,22 @@ fn offload_reaches_replicas_and_reports() {
 
 #[test]
 fn zero_capacity_tiers_match_no_offload_bit_for_bit() {
-    let plain = Fingerprint::of(&DisaggSim::new(config(None)).run());
-    let zero = Fingerprint::of(&DisaggSim::new(config(Some(OffloadConfig::tiers(0, 0)))).run());
+    let plain = DisaggSim::new(config(None)).run().fingerprint();
+    let zero = DisaggSim::new(config(Some(OffloadConfig::tiers(0, 0))))
+        .run()
+        .fingerprint();
     assert_eq!(zero, plain);
 }
 
 #[test]
 fn offloaded_runs_are_deterministic_across_runs() {
     for policy in [EvictionPolicy::Lru, EvictionPolicy::InvocationDistance] {
-        let a = Fingerprint::of(&DisaggSim::new(config(Some(tiers(policy)))).run());
-        let b = Fingerprint::of(&DisaggSim::new(config(Some(tiers(policy)))).run());
+        let a = DisaggSim::new(config(Some(tiers(policy))))
+            .run()
+            .fingerprint();
+        let b = DisaggSim::new(config(Some(tiers(policy))))
+            .run()
+            .fingerprint();
         assert_eq!(a, b, "{policy:?}: rerun diverged");
     }
 }

@@ -1,6 +1,8 @@
 //! Statistics and reporting utilities for serving experiments.
 //!
 //! * [`Summary`] — streaming count/mean/min/max/variance,
+//! * [`Fingerprint`] — bit-exact named fields pinning a run for golden
+//!   tests,
 //! * [`Samples`] — exact percentiles over collected values (p50/p95/p99),
 //! * [`Histogram`] — fixed-width binning for latency distributions
 //!   (the paper's Fig. 7),
@@ -24,6 +26,7 @@
 //! assert_eq!(s.percentile(95.0), 95.0);
 //! ```
 
+pub mod fingerprint;
 pub mod histogram;
 pub mod json;
 pub mod power;
@@ -32,6 +35,7 @@ pub mod summary;
 pub mod table;
 pub mod timeseries;
 
+pub use fingerprint::Fingerprint;
 pub use histogram::Histogram;
 pub use power::PowerProjection;
 pub use samples::Samples;

@@ -39,7 +39,7 @@ use std::collections::{HashMap, VecDeque};
 use agentsim_agents::{AgentConfig, AgentKind, Cognition};
 use agentsim_kvcache::{EvictionPolicy, TokenBuf};
 use agentsim_llm::{Engine, EngineConfig, LlmCompletion, ModelTier, RequestId};
-use agentsim_metrics::Samples;
+use agentsim_metrics::{Fingerprint, Samples};
 use agentsim_session::{
     seeds, validate_load, AdmissionController, Arrival, ArrivalProcess, CallDone, CascadePolicy,
     ClientModel, LlmSubmit, OverloadPolicy, QueueDiscipline, SessionCmd, SessionRunner, ToolRng,
@@ -320,6 +320,38 @@ pub struct FleetReport {
     pub offload_nvme_busy_s: f64,
     /// Head-of-line queueing delay on the host↔NVMe links (seconds).
     pub offload_nvme_wait_s: f64,
+}
+
+impl FleetReport {
+    /// Every field the golden table and the equality tests pin, floats
+    /// as bit patterns.
+    pub fn fingerprint(&self) -> Fingerprint {
+        Fingerprint::new()
+            .int("completed", self.completed)
+            .int("solved", self.solved)
+            .int("escalated", self.escalated)
+            .float("p50_s", self.p50_s)
+            .float("p95_s", self.p95_s)
+            .float("kv_hit_rate", self.kv_hit_rate)
+            .float("energy_wh", self.energy_wh)
+            .float("throughput", self.throughput)
+            .float("goodput", self.goodput)
+            .int("retries", self.retries)
+            .int("abandoned", self.abandoned)
+            .int("late", self.late)
+            .int("cancelled", self.cancelled)
+            .int("dropped", self.dropped)
+            .float("wasted_gpu_s", self.wasted_gpu_s)
+            .int("max_live_sessions", self.max_live_sessions)
+            .float("ttft_p95_s", self.ttft_p95_s)
+            .float("tpot_p99_s", self.tpot_p99_s)
+            .int("offload_demoted_blocks", self.offload_demoted_blocks)
+            .int("offload_promoted_blocks", self.offload_promoted_blocks)
+            .int("offload_promoted_tokens", self.offload_promoted_tokens)
+            .int("offload_dropped_blocks", self.offload_dropped_blocks)
+            .int("offload_host_bytes", self.offload_host_bytes)
+            .int("offload_nvme_bytes", self.offload_nvme_bytes)
+    }
 }
 
 #[derive(Debug)]
@@ -1355,10 +1387,11 @@ mod tests {
             Routing::RoundRobin,
             Routing::LeastLoaded,
         ] {
-            let a = run(routing, 2);
-            let b = run(routing, 2);
-            assert_eq!(a.p95_s, b.p95_s, "{routing} must be deterministic");
-            assert_eq!(a.kv_hit_rate, b.kv_hit_rate);
+            assert_eq!(
+                run(routing, 2).fingerprint(),
+                run(routing, 2).fingerprint(),
+                "{routing} must be deterministic"
+            );
             let replay = || {
                 let cfg = FleetConfig::react_hotpotqa(2, routing, 2.0, 36)
                     .seed(3)
@@ -1367,8 +1400,7 @@ mod tests {
             };
             let (a, b) = (replay(), replay());
             assert_eq!(a.completed, 36);
-            assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits(), "{routing} replay");
-            assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{routing} replay");
         }
     }
 
@@ -1405,11 +1437,10 @@ mod tests {
 
     #[test]
     fn closed_loop_is_deterministic() {
-        let a = run_closed(Routing::LeastLoaded, 2, 4, 16);
-        let b = run_closed(Routing::LeastLoaded, 2, 4, 16);
-        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-        assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
-        assert_eq!(a.max_live_sessions, b.max_live_sessions);
+        assert_eq!(
+            run_closed(Routing::LeastLoaded, 2, 4, 16).fingerprint(),
+            run_closed(Routing::LeastLoaded, 2, 4, 16).fingerprint()
+        );
     }
 
     #[test]
@@ -1484,13 +1515,9 @@ mod tests {
                     .admission(AdmissionPolicy::aimd_default())
                     .discipline(discipline)
             };
-            let a = run_overload(policy(), 8.0);
-            let b = run_overload(policy(), 8.0);
-            assert_eq!(a.goodput.to_bits(), b.goodput.to_bits());
-            assert_eq!(a.wasted_gpu_s.to_bits(), b.wasted_gpu_s.to_bits());
             assert_eq!(
-                (a.completed, a.retries, a.cancelled, a.dropped),
-                (b.completed, b.retries, b.cancelled, b.dropped)
+                run_overload(policy(), 8.0).fingerprint(),
+                run_overload(policy(), 8.0).fingerprint()
             );
         }
     }
@@ -1569,13 +1596,7 @@ mod tests {
     fn zero_capacity_tiers_match_no_offload_bit_for_bit() {
         let plain = run_tiered(None);
         let hollow = run_tiered(Some(agentsim_llm::OffloadConfig::tiers(0, 0)));
-        assert_eq!(plain.completed, hollow.completed);
-        assert_eq!(plain.p95_s.to_bits(), hollow.p95_s.to_bits());
-        assert_eq!(plain.ttft_p95_s.to_bits(), hollow.ttft_p95_s.to_bits());
-        assert_eq!(plain.kv_hit_rate.to_bits(), hollow.kv_hit_rate.to_bits());
-        assert_eq!(plain.energy_wh.to_bits(), hollow.energy_wh.to_bits());
-        assert_eq!(hollow.offload_host_bytes, 0);
-        assert_eq!(hollow.offload_nvme_bytes, 0);
+        assert_eq!(plain.fingerprint(), hollow.fingerprint());
     }
 
     #[test]
@@ -1590,12 +1611,7 @@ mod tests {
                 a.offload_demoted_blocks > 0,
                 "the row must exercise the tiers"
             );
-            assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-            assert_eq!(a.ttft_p95_s.to_bits(), b.ttft_p95_s.to_bits());
-            assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
-            assert_eq!(a.offload_demoted_blocks, b.offload_demoted_blocks);
-            assert_eq!(a.offload_promoted_tokens, b.offload_promoted_tokens);
-            assert_eq!(a.offload_host_bytes, b.offload_host_bytes);
+            assert_eq!(a.fingerprint(), b.fingerprint());
         }
     }
 
@@ -1627,12 +1643,7 @@ mod tests {
             .seed(3),
         )
         .run();
-        assert_eq!(sugar.completed, pooled.completed);
-        assert_eq!(sugar.p50_s.to_bits(), pooled.p50_s.to_bits());
-        assert_eq!(sugar.p95_s.to_bits(), pooled.p95_s.to_bits());
-        assert_eq!(sugar.kv_hit_rate.to_bits(), pooled.kv_hit_rate.to_bits());
-        assert_eq!(sugar.energy_wh.to_bits(), pooled.energy_wh.to_bits());
-        assert_eq!(sugar.wasted_gpu_s.to_bits(), pooled.wasted_gpu_s.to_bits());
+        assert_eq!(sugar.fingerprint(), pooled.fingerprint());
     }
 
     /// Pure failure-driven escalation: no aptitude pre-screen, so every
@@ -1703,15 +1714,10 @@ mod tests {
             hetero_cfg(CascadePolicy::standard()),
             least_loaded,
         ] {
-            let a = FleetSim::new(cfg.clone()).run();
-            let b = FleetSim::new(cfg).run();
-            assert_eq!(a.completed, b.completed);
-            assert_eq!(a.solved, b.solved);
-            assert_eq!(a.escalated, b.escalated);
-            assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-            assert_eq!(a.tpot_p99_s.to_bits(), b.tpot_p99_s.to_bits());
-            assert_eq!(a.kv_hit_rate.to_bits(), b.kv_hit_rate.to_bits());
-            assert_eq!(a.wasted_gpu_s.to_bits(), b.wasted_gpu_s.to_bits());
+            assert_eq!(
+                FleetSim::new(cfg.clone()).run().fingerprint(),
+                FleetSim::new(cfg).run().fingerprint()
+            );
         }
     }
 

@@ -585,11 +585,7 @@ mod tests {
                 });
             ServingSim::new(cfg).run()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.p95_s.to_bits(), b.p95_s.to_bits());
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.solved, b.solved);
+        assert_eq!(run().fingerprint(), run().fingerprint());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use agentsim_metrics::Samples;
+use agentsim_metrics::{Fingerprint, Samples};
 use agentsim_simkit::SimDuration;
 
 /// What an open-loop serving experiment measured.
@@ -74,6 +74,19 @@ impl ServingReport {
         } else {
             self.solved as f64 / self.completed as f64
         }
+    }
+
+    /// Every field the golden table and the equality tests pin, floats
+    /// as bit patterns.
+    pub fn fingerprint(&self) -> Fingerprint {
+        Fingerprint::new()
+            .int("completed", self.completed)
+            .int("solved", self.solved)
+            .int("makespan", self.makespan.as_micros())
+            .float("p50_s", self.p50_s)
+            .float("p95_s", self.p95_s)
+            .float("kv_hit_rate", self.kv_hit_rate)
+            .int("preemptions", self.preemptions)
     }
 }
 

@@ -290,8 +290,7 @@ mod tests {
         );
         for (p, o) in plain.iter().zip(&observed) {
             // Observation must not perturb the simulation.
-            assert_eq!(p.report.p95_s.to_bits(), o.report.p95_s.to_bits());
-            assert_eq!(p.report.completed, o.report.completed);
+            assert_eq!(p.report.fingerprint(), o.report.fingerprint());
             assert!(o.overall.requests >= o.report.completed);
             assert!(o.tail.requests >= 1);
             assert!(o.tail.requests <= o.overall.requests);

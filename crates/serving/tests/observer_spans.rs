@@ -103,11 +103,7 @@ fn observer_does_not_change_serving_results() {
     let mut observed_sim = ServingSim::new(cfg());
     let _recorder = observed_sim.attach_recorder();
     let observed = observed_sim.run();
-    assert_eq!(plain.completed, observed.completed);
-    assert_eq!(plain.p50_s.to_bits(), observed.p50_s.to_bits());
-    assert_eq!(plain.p95_s.to_bits(), observed.p95_s.to_bits());
-    assert_eq!(plain.kv_hit_rate.to_bits(), observed.kv_hit_rate.to_bits());
-    assert_eq!(plain.preemptions, observed.preemptions);
+    assert_eq!(plain.fingerprint(), observed.fingerprint());
 }
 
 /// Fleet-wide tracing: one recorder per replica, merged into a single
