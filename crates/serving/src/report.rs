@@ -77,7 +77,8 @@ impl ServingReport {
     }
 
     /// Every field the golden table and the equality tests pin, floats
-    /// as bit patterns.
+    /// as bit patterns. A class median over an empty sample (no agent or
+    /// no chatbot traffic) pins as NaN.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::new()
             .int("completed", self.completed)
@@ -85,9 +86,20 @@ impl ServingReport {
             .int("makespan", self.makespan.as_micros())
             .float("p50_s", self.p50_s)
             .float("p95_s", self.p95_s)
+            .float("energy_wh", self.energy_wh)
+            .float("utilization", self.utilization)
+            .float("kv_avg_bytes", self.kv_avg_bytes)
+            .int("kv_max_bytes", self.kv_max_bytes)
             .float("kv_hit_rate", self.kv_hit_rate)
             .int("preemptions", self.preemptions)
+            .int("evictions", self.evictions)
+            .float("agent_p50_s", median_or_nan(&self.agent_latencies))
+            .float("chatbot_p50_s", median_or_nan(&self.chatbot_latencies))
     }
+}
+
+fn median_or_nan(samples: &Samples) -> f64 {
+    samples.clone().try_median().unwrap_or(f64::NAN)
 }
 
 impl fmt::Display for ServingReport {

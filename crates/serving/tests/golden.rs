@@ -219,37 +219,55 @@ fn table() -> Vec<(&'static str, Cell, &'static str)> {
             "serving chatbot fcfs",
             Serving(serving("chatbot", Fcfs)),
             "completed=40 solved=0 makespan=18486235 p50_s=0x401c9deca25529fe \
-             p95_s=0x40244d996744b2b7 kv_hit_rate=0x3fbec4bf9c20d966 preemptions=38",
+             p95_s=0x40244d996744b2b7 energy_wh=0x3ff651417d5769e1 utilization=0x3fefb04ca5aaca13 \
+             kv_avg_bytes=0x41b98dbd504a854a kv_max_bytes=641728512 kv_hit_rate=0x3fbec4bf9c20d966 \
+             preemptions=38 evictions=1241 agent_p50_s=0x7ff8000000000000 \
+             chatbot_p50_s=0x401c9deca25529fe",
         ),
         (
             "serving chatbot deepest",
             Serving(serving("chatbot", DeepestFirst)),
             "completed=40 solved=0 makespan=18424770 p50_s=0x401c9deca25529fe \
-             p95_s=0x402463c7f77af640 kv_hit_rate=0x3fbeac2154dbf68a preemptions=40",
+             p95_s=0x402463c7f77af640 energy_wh=0x3ff6449b37157481 utilization=0x3fefb00894e2f9c1 \
+             kv_avg_bytes=0x41b9b93a6335ec67 kv_max_bytes=641728512 kv_hit_rate=0x3fbeac2154dbf68a \
+             preemptions=40 evictions=1261 agent_p50_s=0x7ff8000000000000 \
+             chatbot_p50_s=0x401c9deca25529fe",
         ),
         (
             "serving agent fcfs",
             Serving(serving("agent", Fcfs)),
             "completed=40 solved=12 makespan=87998167 p50_s=0x4048e57403dddb12 \
-             p95_s=0x405469a400fba882 kv_hit_rate=0x3fe1583517fc19a0 preemptions=27",
+             p95_s=0x405469a400fba882 energy_wh=0x401c4f11a222379b utilization=0x3fefa5423ec4a1a4 \
+             kv_avg_bytes=0x41c00f3f5ef83c0b kv_max_bytes=641728512 kv_hit_rate=0x3fe1583517fc19a0 \
+             preemptions=27 evictions=13215 agent_p50_s=0x4048e57403dddb12 \
+             chatbot_p50_s=0x7ff8000000000000",
         ),
         (
             "serving agent deepest",
             Serving(serving("agent", DeepestFirst)),
             "completed=40 solved=12 makespan=93078109 p50_s=0x40481763f572de44 \
-             p95_s=0x40539bfc5cdd50a9 kv_hit_rate=0x3fe27cb834d0b8e0 preemptions=29",
+             p95_s=0x40539bfc5cdd50a9 energy_wh=0x401cfd95752fce53 utilization=0x3feeab36afe6b8b8 \
+             kv_avg_bytes=0x41beacdc06488de8 kv_max_bytes=641728512 kv_hit_rate=0x3fe27cb834d0b8e0 \
+             preemptions=29 evictions=12500 agent_p50_s=0x40481763f572de44 \
+             chatbot_p50_s=0x7ff8000000000000",
         ),
         (
             "serving mixed fcfs",
             Serving(serving("mixed", Fcfs)),
             "completed=40 solved=5 makespan=50234267 p50_s=0x40231e16f86a0989 \
-             p95_s=0x40477ebf9830e3ce kv_hit_rate=0x3fdf7a590117ac40 preemptions=29",
+             p95_s=0x40477ebf9830e3ce energy_wh=0x40100456a802680f utilization=0x3fefe2ab8e5c5567 \
+             kv_avg_bytes=0x41c0371417bf64a9 kv_max_bytes=641728512 kv_hit_rate=0x3fdf7a590117ac40 \
+             preemptions=29 evictions=6668 agent_p50_s=0x4041f0b5bb384fd3 \
+             chatbot_p50_s=0x401d3e071c53f39d",
         ),
         (
             "serving mixed deepest",
             Serving(serving("mixed", DeepestFirst)),
             "completed=40 solved=5 makespan=53196182 p50_s=0x403710f345069a4e \
-             p95_s=0x4047394855da2728 kv_hit_rate=0x3fe0033284ef4253 preemptions=18",
+             p95_s=0x4047394855da2728 energy_wh=0x4010ba1a9bff4130 utilization=0x3fef7635ef25081c \
+             kv_avg_bytes=0x41bf41eaf3cf5f86 kv_max_bytes=641728512 kv_hit_rate=0x3fe0033284ef4253 \
+             preemptions=18 evictions=6695 agent_p50_s=0x4042a2acc92146a2 \
+             chatbot_p50_s=0x402773afd976ff3b",
         ),
         (
             "fleet open affinity",
