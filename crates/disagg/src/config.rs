@@ -4,15 +4,15 @@
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_gpu::{FlipCostModel, LinkSpec};
 use agentsim_llm::EngineConfig;
-use agentsim_session::{validate_load, ClientModel, QueueDiscipline};
-use agentsim_simkit::SimDuration;
+use agentsim_session::{validate_load, ClientModel};
 use agentsim_workloads::Benchmark;
 
 use crate::autoscale::AutoscalePolicy;
 
-/// What kind of traffic the disaggregated cluster receives. Mirrors the
-/// colocated drivers so a what-if comparison changes *only* the serving
-/// topology.
+/// What kind of traffic the disaggregated cluster receives. The
+/// single-replica serving driver takes the same enum (as
+/// `ServingWorkload`), so a what-if comparison changes *only* the
+/// serving topology.
 #[derive(Debug, Clone)]
 pub enum DisaggWorkload {
     /// Non-agentic single-turn chatbot traffic (ShareGPT).
@@ -27,9 +27,9 @@ pub enum DisaggWorkload {
         config: AgentConfig,
     },
     /// A blend: each arrival is an agent session with probability
-    /// `agent_fraction`, otherwise a chatbot request. Uses the same
-    /// per-turn class draw as the colocated driver's mixed workload, so
-    /// the identical seed classifies identically.
+    /// `agent_fraction`, otherwise a chatbot request. The class draw is
+    /// per turn, so the identical seed classifies identically under
+    /// every topology.
     Mixed {
         /// Probability that an arrival is an agent session.
         agent_fraction: f64,
@@ -120,22 +120,6 @@ pub struct DisaggConfig {
     pub autoscale: AutoscalePolicy,
     /// The reconfiguration gap a replica pays per role flip.
     pub flip_cost: FlipCostModel,
-    /// Coordinator-side admission gate: the most prefill-leg calls
-    /// allowed in flight at once. New LLM ops queue at the coordinator
-    /// until capacity frees; `None` (the default) submits immediately and
-    /// is bit-identical to the pre-gate driver. Must be at least 1.
-    pub max_inflight_prefill: Option<u32>,
-    /// Ordering of the coordinator dispatch queue (only meaningful with
-    /// an admission gate, which is what makes the queue non-empty).
-    /// [`QueueDiscipline::DeadlineDrop`] additionally sheds sessions
-    /// whose deadline already passed at dequeue time, before they cost
-    /// any GPU work.
-    pub discipline: QueueDiscipline,
-    /// Per-session deadline, measured from the session's arrival. The
-    /// disaggregated driver never cancels work already on an engine —
-    /// the deadline acts purely at the coordinator dispatch queue, so it
-    /// requires [`QueueDiscipline::DeadlineDrop`] (and vice versa).
-    pub deadline: Option<SimDuration>,
     /// Layer chunks each KV migration ships as (pipelined against the
     /// prefill that produced them). `1` (the default) is the serial
     /// whole-footprint transfer, bit-identical to the pre-pipeline
@@ -163,9 +147,6 @@ impl DisaggConfig {
             client: ClientModel::OpenLoopPoisson,
             autoscale: AutoscalePolicy::Disabled,
             flip_cost: FlipCostModel::warm(),
-            max_inflight_prefill: None,
-            discipline: QueueDiscipline::Fifo,
-            deadline: None,
             transfer_chunks: 1,
         }
     }
@@ -254,54 +235,12 @@ impl DisaggConfig {
         self
     }
 
-    /// Caps prefill-leg calls in flight; further ops queue at the
-    /// coordinator until capacity frees.
-    pub fn max_inflight_prefill(mut self, limit: u32) -> Self {
-        assert!(limit >= 1, "the admission gate needs capacity for a call");
-        self.max_inflight_prefill = Some(limit);
-        self
-    }
-
     /// Ships each KV migration as up to `chunks` layer chunks pipelined
     /// against prefill progress. `1` keeps the serial transfer.
     pub fn transfer_chunks(mut self, chunks: u32) -> Self {
         assert!(chunks >= 1, "transfer chunks must be >= 1");
         self.transfer_chunks = chunks;
         self
-    }
-
-    /// Sets the coordinator dispatch-queue discipline.
-    pub fn discipline(mut self, discipline: QueueDiscipline) -> Self {
-        self.discipline = discipline;
-        self
-    }
-
-    /// Sets the per-session deadline (from arrival) honoured by
-    /// [`QueueDiscipline::DeadlineDrop`].
-    pub fn deadline(mut self, deadline: SimDuration) -> Self {
-        assert!(!deadline.is_zero(), "a deadline must be positive");
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Cross-field validation, called by the simulator constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`QueueDiscipline::DeadlineDrop`] is configured
-    /// without a deadline, or a deadline without `DeadlineDrop` — this
-    /// driver has no cancellation path, so a deadline nothing reads (or
-    /// a drop rule with nothing to compare against) is a config error.
-    pub fn validate_overload(&self) {
-        match (self.discipline, self.deadline) {
-            (QueueDiscipline::DeadlineDrop, None) => {
-                panic!("DeadlineDrop needs a deadline to compare against")
-            }
-            (QueueDiscipline::Fifo | QueueDiscipline::Lifo, Some(_)) => {
-                panic!("a disagg deadline is only acted on by DeadlineDrop")
-            }
-            _ => {}
-        }
     }
 
     /// Whether this run is the colocated baseline (no role split).
@@ -343,40 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn overload_knobs_default_off() {
-        let cfg = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10);
-        assert!(cfg.max_inflight_prefill.is_none());
-        assert!(cfg.deadline.is_none());
-        assert_eq!(cfg.discipline, QueueDiscipline::Fifo);
-        cfg.validate_overload();
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a deadline")]
-    fn deadline_drop_without_deadline_rejected() {
-        DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10)
-            .discipline(QueueDiscipline::DeadlineDrop)
-            .validate_overload();
-    }
-
-    #[test]
-    #[should_panic(expected = "only acted on by DeadlineDrop")]
-    fn deadline_without_deadline_drop_rejected() {
-        DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10)
-            .deadline(SimDuration::from_secs(10))
-            .validate_overload();
-    }
-
-    #[test]
     #[should_panic(expected = "positive finite qps")]
     fn non_finite_load_rejected() {
         let _ = DisaggConfig::new(DisaggWorkload::Chatbot, f64::NAN, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity for a call")]
-    fn zero_wide_gate_rejected() {
-        let _ = DisaggConfig::new(DisaggWorkload::Chatbot, 1.0, 10).max_inflight_prefill(0);
     }
 
     #[test]

@@ -210,17 +210,20 @@ pub struct DisaggReport {
     pub completed: u64,
     /// Sessions whose task was solved.
     pub solved: u64,
-    /// Sessions shed at the coordinator admission gate (their turn never
-    /// ran; `completed + abandoned` covers every issued turn).
+    /// Sessions shed by overload control. Always 0: this driver has no
+    /// admission control yet, so every issued turn completes.
     pub abandoned: u64,
-    /// Ops removed from the dispatch queue unserved. Equals `abandoned`
-    /// today (one queued op per session at a time); reported separately
-    /// so the two stay distinguishable if that changes.
+    /// Ops dropped unserved by overload control. Always 0, like
+    /// `abandoned`.
     pub dropped: u64,
     /// Time from first arrival to last completion.
     pub makespan: SimDuration,
     /// Per-session end-to-end latencies (seconds).
     pub latencies: Samples,
+    /// End-to-end latencies of agent sessions only (seconds).
+    pub agent_latencies: Samples,
+    /// End-to-end latencies of chatbot requests only (seconds).
+    pub chatbot_latencies: Samples,
     /// Median session latency (seconds).
     pub p50_s: f64,
     /// 95th-percentile session latency (seconds).
@@ -239,6 +242,12 @@ pub struct DisaggReport {
     pub decode_utilization: Vec<f64>,
     /// Total GPU energy over the run, watt-hours (both pools).
     pub energy_wh: f64,
+    /// Time-averaged KV bytes referenced by live sequences, summed over
+    /// replicas.
+    pub kv_avg_bytes: f64,
+    /// Per-replica peak KV bytes referenced by live sequences, summed
+    /// over replicas.
+    pub kv_max_bytes: u64,
     /// Prefix-cache hit rate over prefill-side prompt tokens.
     pub kv_hit_rate: f64,
     /// KV blocks demoted out of HBM into the offload tiers, both pools.
@@ -251,6 +260,8 @@ pub struct DisaggReport {
     pub offload_dropped_blocks: u64,
     /// Preemptions across both pools.
     pub preemptions: u64,
+    /// Cached-block evictions across both pools.
+    pub evictions: u64,
     /// Completed role flips, in completion order (empty without
     /// autoscaling).
     pub flips: Vec<FlipRecord>,
@@ -554,6 +565,8 @@ mod tests {
             dropped: 0,
             makespan: SimDuration::from_secs(2),
             latencies: [1.0, 2.0].into_iter().collect(),
+            agent_latencies: [1.0, 2.0].into_iter().collect(),
+            chatbot_latencies: Samples::new(),
             p50_s: 1.5,
             p95_s: 2.0,
             calls: vec![migrated_call()],
@@ -563,12 +576,15 @@ mod tests {
             prefill_utilization: vec![0.5],
             decode_utilization: vec![0.4],
             energy_wh: 1.0,
+            kv_avg_bytes: 1e9,
+            kv_max_bytes: 2_000_000_000,
             kv_hit_rate: 0.3,
             offload_demoted_blocks: 0,
             offload_promoted_blocks: 0,
             offload_promoted_tokens: 0,
             offload_dropped_blocks: 0,
             preemptions: 0,
+            evictions: 0,
             flips: vec![],
             links: vec![LinkStats {
                 replica: 1,

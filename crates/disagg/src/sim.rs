@@ -1,13 +1,15 @@
 //! The disaggregated-serving driver: prefill pool → KV transfer →
-//! decode pool, with the colocated baseline as the degenerate case.
+//! decode pool, with the colocated baseline as the degenerate case. The
+//! single-replica serving driver (`agentsim_serving::ServingSim`) is
+//! this driver with one colocated replica.
 //!
-//! Mirrors the colocated drivers' event loop and RNG derivation exactly
-//! (same root constants, same arrival process, same per-session forks —
-//! all via [`agentsim_session`]), so a disaggregated run and a colocated
-//! run at the same seed differ *only* in serving topology — the what-if
-//! experiments compare nothing else. The session state machine itself is
-//! the shared [`SessionRunner`]; only the two-pool call lifecycle
-//! (prefill leg, transfer, decode leg) lives here.
+//! Every random stream derives from the shared [`agentsim_session::seeds`]
+//! keys (one root, one arrival process, per-session forks), so a
+//! disaggregated run and a colocated run at the same seed differ *only*
+//! in serving topology — the what-if experiments compare nothing else.
+//! The session state machine itself is the shared [`SessionRunner`];
+//! only the two-pool call lifecycle (prefill leg, transfer, decode leg)
+//! lives here.
 //!
 //! ## Pool membership and autoscaling
 //!
@@ -23,25 +25,20 @@
 //! [`agentsim_gpu::FlipCostModel`] gap and joins the other pool. One
 //! flip runs at a time, and a pool is never drained below one replica.
 //!
-//! ## Coordinator admission gate
+//! ## No admission control
 //!
-//! With [`DisaggConfig::max_inflight_prefill`] set, new LLM ops queue at
-//! the coordinator until prefill-leg capacity frees, ordered by the
-//! configured [`QueueDiscipline`]. Under
-//! [`QueueDiscipline::DeadlineDrop`] a session whose deadline has passed
-//! by the time it reaches the head is shed *before* costing any GPU
-//! work — the one overload mechanism this driver has. With the gate
-//! unset the queue is never touched and the driver is bit-identical to
-//! the pre-gate code path.
+//! Every LLM op is submitted to the prefill pool the moment its session
+//! issues it; the driver sheds nothing, so every issued turn completes.
+//! Overload control (admission, deadlines, queue disciplines) exists
+//! only per replica in the fleet driver for now.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use agentsim_agents::{AgentConfig, AgentKind};
 use agentsim_llm::{Engine, EngineObserver, EngineRole, LlmCompletion, MigratedRequest, RequestId};
 use agentsim_metrics::Samples;
 use agentsim_session::{
-    seeds, Arrival, ArrivalProcess, CallDone, LlmSubmit, QueueDiscipline, SessionCmd,
-    SessionRunner, ToolRng,
+    seeds, Arrival, ArrivalProcess, CallDone, SessionCmd, SessionRunner, ToolRng,
 };
 use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use agentsim_tools::ToolExecutor;
@@ -78,17 +75,6 @@ struct CallState {
     /// discriminator: a finished request whose call has a migration
     /// finished its *decode* leg.
     migration: Option<agentsim_llm::MigratedRequest>,
-}
-
-/// One LLM op parked at the coordinator admission gate, waiting for
-/// prefill-leg capacity. Whole ops queue together, so a dropped session
-/// provably has zero calls in flight.
-struct PendingOp {
-    session: u64,
-    /// The session's absolute deadline (set iff the config has one).
-    deadline: Option<SimTime>,
-    priority: u32,
-    calls: Vec<LlmSubmit>,
 }
 
 /// A role flip in progress: the victim has left its pool's member list
@@ -136,22 +122,11 @@ pub struct DisaggSim {
     rr_prefill: usize,
     rr_decode: usize,
     latencies: Vec<f64>,
+    agent_latencies: Vec<f64>,
+    chatbot_latencies: Vec<f64>,
     completed: u64,
     solved: u64,
     last_finish: SimTime,
-    /// Ops parked at the admission gate (always empty with the gate
-    /// unset).
-    dispatch: VecDeque<PendingOp>,
-    /// Calls submitted to the prefill pool whose prefill leg hasn't
-    /// finished (tracked whether or not the gate is active).
-    inflight_prefill: u64,
-    /// Per-session absolute deadline, refreshed at each arrival.
-    session_deadline: Vec<Option<SimTime>>,
-    /// Sessions shed at the dispatch queue (their turn never resolves).
-    abandoned: u64,
-    /// Ops removed from the dispatch queue unserved (equals `abandoned`
-    /// here: a session queues at most one op at a time).
-    dropped: u64,
     /// Reused completion buffer for [`Engine::complete_step_into`] — the
     /// step handler is the hot path and must not allocate per step.
     step_scratch: Vec<LlmCompletion>,
@@ -179,7 +154,6 @@ impl DisaggSim {
     /// Panics when the configuration enables autoscaling in colocated
     /// mode — a role-free pool has nothing to flip.
     pub fn new(config: DisaggConfig) -> Self {
-        config.validate_overload();
         let prefill_role = if config.is_colocated() {
             EngineRole::Colocated
         } else {
@@ -204,8 +178,8 @@ impl DisaggSim {
             .transfer_chunks
             .min(config.prefill_engine.cluster.model.layers.max(1));
         let transfers = TransferScheduler::new(config.link.clone(), p + d).with_chunks(chunks);
-        // Same root/arrival derivation as the colocated open-loop driver:
-        // identical seeds ⇒ identical arrival processes.
+        // One root for every topology: identical seeds ⇒ identical
+        // arrival processes, colocated or disaggregated.
         let root_rng = SimRng::seed_from(config.seed ^ seeds::SERVING_ROOT);
         let mut client = config.client.build(
             config.qps,
@@ -216,8 +190,9 @@ impl DisaggSim {
         for a in client.initial() {
             queue.push(a.at, Event::Arrival(a));
         }
-        let session_slots = config.client.sessions(config.num_requests);
-        let sessions = (0..session_slots).map(|_| None).collect();
+        let sessions = (0..config.client.sessions(config.num_requests))
+            .map(|_| None)
+            .collect();
         DisaggSim {
             replicas,
             prefill_members: (0..p).collect(),
@@ -239,14 +214,11 @@ impl DisaggSim {
             rr_prefill: 0,
             rr_decode: 0,
             latencies: Vec::new(),
+            agent_latencies: Vec::new(),
+            chatbot_latencies: Vec::new(),
             completed: 0,
             solved: 0,
             last_finish: SimTime::ZERO,
-            dispatch: VecDeque::new(),
-            inflight_prefill: 0,
-            session_deadline: vec![None; session_slots as usize],
-            abandoned: 0,
-            dropped: 0,
             step_scratch: Vec::new(),
             migration_scratch: Vec::new(),
             config,
@@ -300,16 +272,11 @@ impl DisaggSim {
                 }
                 Event::FlipDone(r) => self.on_flip_done(r, now),
             }
-            self.drain_dispatch(now);
             self.maybe_autoscale(now);
             self.kick_all(now);
         }
         let expected = self.config.client.total_turns(self.config.num_requests);
-        assert_eq!(
-            self.completed + self.abandoned,
-            expected,
-            "every turn must resolve exactly once"
-        );
+        assert_eq!(self.completed, expected, "all turns must finish");
         self.check_end_state();
         self.into_report()
     }
@@ -318,8 +285,6 @@ impl DisaggSim {
     fn check_end_state(&self) {
         assert_eq!(self.transfers.outstanding(), 0, "no transfer left behind");
         assert!(self.flip.is_none(), "no flip left in progress");
-        assert!(self.dispatch.is_empty(), "no op left at the gate");
-        assert_eq!(self.inflight_prefill, 0, "prefill-leg accounting leaked");
         for e in &self.replicas {
             assert_eq!(e.kv().live_sequences(), 0, "KV sequence leaked");
             e.kv().check_invariants().expect("KV invariants at run end");
@@ -358,7 +323,6 @@ impl DisaggSim {
         let slot = &mut self.sessions[a.session as usize];
         assert!(slot.is_none(), "session {} already live", a.session);
         *slot = Some(runner);
-        self.session_deadline[a.session as usize] = self.config.deadline.map(|d| now + d);
         self.exec(a.session, cmd, now);
     }
 
@@ -435,23 +399,26 @@ impl DisaggSim {
     fn exec(&mut self, sid: u64, cmd: SessionCmd, now: SimTime) {
         match cmd {
             SessionCmd::Llm(op) => {
-                if self.config.max_inflight_prefill.is_none() {
-                    // No gate: submit immediately, bit-identical to the
-                    // pre-gate driver.
-                    self.submit_calls(sid, op.calls, op.priority, now);
-                } else {
-                    let pending = PendingOp {
+                for (seq, c) in op.calls.into_iter().enumerate() {
+                    let replica = self.route_prefill();
+                    let id = self.replicas[replica].submit_with_priority(
+                        now,
+                        c.prompt,
+                        c.out_tokens,
+                        c.gen_seed,
+                        op.priority,
+                    );
+                    let call = self.calls.len() as u64;
+                    self.calls.push(CallState {
                         session: sid,
-                        deadline: self.session_deadline[sid as usize],
-                        priority: op.priority,
-                        calls: op.calls,
-                    };
-                    match self.config.discipline {
-                        QueueDiscipline::Lifo => self.dispatch.push_front(pending),
-                        _ => self.dispatch.push_back(pending),
-                    }
-                    // The event loop drains once per event; ops enqueued
-                    // by this event dispatch before any later event.
+                        seq: seq as u32,
+                        prefill_replica: replica,
+                        decode_replica: None,
+                        decode_submitted: None,
+                        transfer_wait: SimDuration::ZERO,
+                        migration: None,
+                    });
+                    self.owner.insert((replica, id), call);
                 }
             }
             SessionCmd::Tools { wake } => {
@@ -461,7 +428,13 @@ impl DisaggSim {
                 let runner = self.sessions[sid as usize]
                     .take()
                     .expect("live session finishing");
-                self.latencies.push(runner.trace().e2e().as_secs_f64());
+                let latency = runner.trace().e2e().as_secs_f64();
+                self.latencies.push(latency);
+                if runner.is_agent() {
+                    self.agent_latencies.push(latency);
+                } else {
+                    self.chatbot_latencies.push(latency);
+                }
                 self.completed += 1;
                 self.solved += outcome.solved as u64;
                 self.last_finish = self.last_finish.max(now);
@@ -469,90 +442,6 @@ impl DisaggSim {
                     self.queue.push(next.at, Event::Arrival(next));
                 }
             }
-        }
-    }
-
-    /// Routes one op's calls to the prefill pool. Shared by the direct
-    /// (gate-off) path and the dispatch queue.
-    fn submit_calls(&mut self, sid: u64, calls: Vec<LlmSubmit>, priority: u32, now: SimTime) {
-        for (seq, c) in calls.into_iter().enumerate() {
-            let replica = self.route_prefill();
-            let id = self.replicas[replica].submit_with_priority(
-                now,
-                c.prompt,
-                c.out_tokens,
-                c.gen_seed,
-                priority,
-            );
-            let call = self.calls.len() as u64;
-            self.calls.push(CallState {
-                session: sid,
-                seq: seq as u32,
-                prefill_replica: replica,
-                decode_replica: None,
-                decode_submitted: None,
-                transfer_wait: SimDuration::ZERO,
-                migration: None,
-            });
-            self.owner.insert((replica, id), call);
-            self.inflight_prefill += 1;
-        }
-    }
-
-    /// Admits parked ops while prefill-leg capacity lasts. Runs once per
-    /// event; a no-op with the gate unset.
-    fn drain_dispatch(&mut self, now: SimTime) {
-        let Some(limit) = self.config.max_inflight_prefill else {
-            return;
-        };
-        let limit = limit as u64;
-        while let Some(op) = self.select_dispatch(now) {
-            // Head-of-line exception: an op wider than the whole gate
-            // still runs alone rather than deadlocking its session.
-            let admit = self.inflight_prefill == 0
-                || self.inflight_prefill + op.calls.len() as u64 <= limit;
-            if !admit {
-                self.dispatch.push_front(op);
-                break;
-            }
-            self.submit_calls(op.session, op.calls, op.priority, now);
-        }
-    }
-
-    /// Picks the next op per the configured discipline.
-    /// [`QueueDiscipline::DeadlineDrop`] selects earliest-deadline-first
-    /// (first minimum, so ties keep FIFO order) and sheds every expired
-    /// op it surfaces before returning a live one.
-    fn select_dispatch(&mut self, now: SimTime) -> Option<PendingOp> {
-        match self.config.discipline {
-            QueueDiscipline::Fifo | QueueDiscipline::Lifo => self.dispatch.pop_front(),
-            QueueDiscipline::DeadlineDrop => loop {
-                let deadline_of = |op: &PendingOp| op.deadline.expect("DeadlineDrop has deadlines");
-                let idx =
-                    (0..self.dispatch.len()).min_by_key(|&i| deadline_of(&self.dispatch[i]))?;
-                let op = self.dispatch.remove(idx).expect("index in range");
-                if deadline_of(&op) <= now {
-                    self.drop_op(op, now);
-                    continue;
-                }
-                return Some(op);
-            },
-        }
-    }
-
-    /// Sheds one parked op whose deadline passed: full session teardown.
-    /// The op queued whole, so the session has zero calls in flight, no
-    /// pending tool wake, and no transfer — taking the runner is clean.
-    fn drop_op(&mut self, op: PendingOp, now: SimTime) {
-        let taken = self.sessions[op.session as usize].take();
-        assert!(taken.is_some(), "dropped session was live");
-        self.dropped += 1;
-        self.abandoned += 1;
-        self.last_finish = self.last_finish.max(now);
-        // The client still observes the turn ending (a closed-loop
-        // population re-issues from here).
-        if let Some(next) = self.client.after_finish(op.session, now) {
-            self.queue.push(next.at, Event::Arrival(next));
         }
     }
 
@@ -595,9 +484,6 @@ impl DisaggSim {
             .owner
             .remove(&(replica, migration.id))
             .expect("migration belongs to a call");
-        // The prefill leg is over; the gate sees its capacity back even
-        // while the KV is on the wire.
-        self.inflight_prefill -= 1;
         let dst = self.route_decode();
         let state = &mut self.calls[call as usize];
         state.decode_replica = Some(dst);
@@ -624,7 +510,6 @@ impl DisaggSim {
 
     /// A call that completed without leaving the prefill pool.
     fn finish_local_call(&mut self, call: u64, completion: &LlmCompletion, now: SimTime) {
-        self.inflight_prefill -= 1;
         let state = &self.calls[call as usize];
         // First token lands at the end of the prefill phase; clamp for
         // single-token calls whose first token is also the last.
@@ -815,18 +700,25 @@ impl DisaggSim {
 
     fn into_report(self) -> DisaggReport {
         let mut latencies: Samples = self.latencies.iter().copied().collect();
-        // NaN, not a panic, when every session was shed at the gate.
+        // NaN, not a panic, for a run that issued no turns.
         let p50_s = latencies.try_median().unwrap_or(f64::NAN);
         let p95_s = latencies.try_p95().unwrap_or(f64::NAN);
         // Integer tallies are order-free; decode-role engines import KV
         // without prefix lookups, so counting every replica matches the
         // prefill-pool-only sum of the static-split driver.
         let (mut hits, mut lookups) = (0u64, 0u64);
-        let mut preemptions = 0u64;
+        let (mut preemptions, mut evictions) = (0u64, 0u64);
         let (mut demoted, mut promoted, mut promoted_tokens, mut dropped) =
             (0u64, 0u64, 0u64, 0u64);
+        // KV footprints sum in replica-index order, which is fixed for
+        // the whole run.
+        let (mut kv_avg_bytes, mut kv_max_bytes) = (0.0, 0u64);
         for e in &self.replicas {
             let kv = e.kv().stats();
+            let block_bytes = e.config().kv_bytes_per_block();
+            kv_avg_bytes += kv.used_blocks.average(self.last_finish) * block_bytes as f64;
+            kv_max_bytes += kv.used_blocks.peak() * block_bytes;
+            evictions += kv.evictions;
             hits += kv.hit_tokens;
             lookups += kv.hit_tokens + kv.miss_tokens;
             preemptions += e.metrics().preemptions;
@@ -881,10 +773,12 @@ impl DisaggSim {
             decode_replicas: self.config.decode_replicas,
             completed: self.completed,
             solved: self.solved,
-            abandoned: self.abandoned,
-            dropped: self.dropped,
+            abandoned: 0,
+            dropped: 0,
             makespan: SimDuration::from_micros(self.last_finish.as_micros()),
             latencies,
+            agent_latencies: self.agent_latencies.into_iter().collect(),
+            chatbot_latencies: self.chatbot_latencies.into_iter().collect(),
             p50_s,
             p95_s,
             calls: self.finished_calls,
@@ -894,6 +788,8 @@ impl DisaggSim {
             prefill_utilization,
             decode_utilization,
             energy_wh,
+            kv_avg_bytes,
+            kv_max_bytes,
             kv_hit_rate: if lookups == 0 {
                 0.0
             } else {
@@ -904,6 +800,7 @@ impl DisaggSim {
             offload_promoted_tokens: promoted_tokens,
             offload_dropped_blocks: dropped,
             preemptions,
+            evictions,
             flips: self.flips,
             links,
         }
@@ -1126,81 +1023,6 @@ mod tests {
         let cfg = DisaggConfig::colocated(DisaggWorkload::Chatbot, 2, 1.0, 4)
             .autoscale(AutoscalePolicy::Pinned);
         let _ = DisaggSim::new(cfg);
-    }
-
-    #[test]
-    fn wide_gate_changes_nothing_observable() {
-        let base = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 1.0, 10).seed(5);
-        let open = DisaggSim::new(base.clone()).run();
-        let gated = DisaggSim::new(base.max_inflight_prefill(1_000)).run();
-        assert_eq!(gated.completed, 10);
-        assert_eq!(gated.abandoned, 0);
-        assert_eq!(gated.dropped, 0);
-        assert_eq!(open.calls.len(), gated.calls.len());
-    }
-
-    #[test]
-    fn tight_gate_still_completes_every_turn() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 2.0, 12)
-            .seed(5)
-            .max_inflight_prefill(1);
-        let r = DisaggSim::new(cfg).run();
-        assert_eq!(r.completed, 12);
-        assert_eq!(r.abandoned, 0);
-        for c in &r.calls {
-            assert_eq!(c.span().total(), c.e2e(), "gated spans still telescope");
-        }
-    }
-
-    #[test]
-    fn op_wider_than_the_gate_runs_alone() {
-        // Best-of-N submits all N samples as one op; a 1-call gate must
-        // admit it via the head-of-line exception, not deadlock.
-        let workload = DisaggWorkload::Agent {
-            kind: AgentKind::BestOfN,
-            benchmark: agentsim_workloads::Benchmark::HotpotQa,
-            config: AgentConfig::default(),
-        };
-        let cfg = DisaggConfig::new(workload, 1.0, 6)
-            .seed(3)
-            .max_inflight_prefill(1);
-        let r = DisaggSim::new(cfg).run();
-        assert_eq!(r.completed, 6);
-        assert!(
-            r.calls.len() > 6,
-            "Best-of-N turns carry several calls each"
-        );
-    }
-
-    #[test]
-    fn deadline_drop_sheds_under_pressure() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 4.0, 24)
-            .seed(5)
-            .max_inflight_prefill(1)
-            .discipline(QueueDiscipline::DeadlineDrop)
-            .deadline(SimDuration::from_secs(10));
-        let r = DisaggSim::new(cfg).run();
-        assert!(r.abandoned > 0, "a 1-call gate at 4 qps must shed work");
-        assert_eq!(r.abandoned, r.dropped);
-        assert_eq!(r.completed + r.abandoned, 24, "every turn resolves once");
-        assert!(r.completed > 0, "early arrivals still beat the deadline");
-        // Shed sessions never reached a replica: every recorded call
-        // belongs to a session that was admitted.
-        assert!(r.to_json().contains("\"abandoned\":"));
-    }
-
-    #[test]
-    fn gated_runs_are_deterministic_across_runs() {
-        let cfg = DisaggConfig::new(DisaggWorkload::react_hotpotqa(), 4.0, 20)
-            .seed(6)
-            .pools(2, 2)
-            .max_inflight_prefill(2)
-            .discipline(QueueDiscipline::DeadlineDrop)
-            .deadline(SimDuration::from_secs(12));
-        let a = DisaggSim::new(cfg.clone()).run();
-        let b = DisaggSim::new(cfg).run();
-        assert_eq!(a.calls, b.calls);
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

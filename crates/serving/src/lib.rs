@@ -10,6 +10,7 @@
 //! * [`open_loop`] — many concurrent sessions over one shared replica,
 //!   open-loop Poisson by default (its §IV-C serving analysis:
 //!   throughput, tail latency vs QPS, KV pressure, cache thrashing).
+//!   It runs on the [`disagg`] driver as one colocated replica.
 //! * [`fleet`] — several replicas behind a router (session affinity vs
 //!   stateless balancing), extending the paper's §VI datacenter view.
 //! * [`observe`] — step-level observability: attach a [`SpanRecorder`]

@@ -6,68 +6,25 @@
 //! LLM calls are batched by the shared engine (continuous batching with
 //! FCFS admission).
 //!
-//! The per-session state machine lives in
-//! [`agentsim_session::SessionRunner`]; this driver only owns what is
-//! specific to a single shared replica: the engine, the event queue, and
-//! report aggregation.
+//! There is no event loop here: a [`ServingSim`] is the disaggregated
+//! driver's colocated baseline with one replica
+//! ([`DisaggConfig::colocated`]), and its [`ServingReport`] is read off
+//! that run's [`DisaggReport`].
 
-use std::collections::HashMap;
-
-use agentsim_agents::{AgentConfig, AgentKind};
-use agentsim_llm::{Engine, EngineConfig, RequestId};
-use agentsim_session::{
-    seeds, Arrival, ArrivalProcess, CallDone, ClientModel, SessionCmd, SessionRunner, ToolRng,
-};
-use agentsim_simkit::{EventQueue, SimDuration, SimRng, SimTime};
-use agentsim_tools::ToolExecutor;
-use agentsim_workloads::{Benchmark, ShareGptGenerator, TaskGenerator};
+use agentsim_disagg::{DisaggConfig, DisaggReport, DisaggSim};
+use agentsim_llm::EngineConfig;
+use agentsim_session::ClientModel;
 
 use crate::report::ServingReport;
 
-/// What kind of traffic the server receives.
-#[derive(Debug, Clone)]
-pub enum ServingWorkload {
-    /// Non-agentic single-turn chatbot traffic (ShareGPT).
-    Chatbot,
-    /// Agentic traffic: every request runs this agent on this benchmark.
-    Agent {
-        /// The agent framework.
-        kind: AgentKind,
-        /// The benchmark tasks are drawn from.
-        benchmark: Benchmark,
-        /// The agent configuration.
-        config: AgentConfig,
-    },
-    /// Multi-tenant mix: each arrival is an agent request with
-    /// probability `agent_fraction`, otherwise a chatbot request.
-    Mixed {
-        /// Fraction of arrivals that are agentic, in `[0, 1]`.
-        agent_fraction: f64,
-        /// The agent framework for agentic arrivals.
-        kind: AgentKind,
-        /// The benchmark for agentic arrivals.
-        benchmark: Benchmark,
-        /// The agent configuration.
-        config: AgentConfig,
-    },
-}
-
-impl ServingWorkload {
-    /// A ReAct-on-HotpotQA workload with default configuration (the
-    /// paper's canonical agent serving setup).
-    pub fn react_hotpotqa() -> Self {
-        ServingWorkload::Agent {
-            kind: AgentKind::React,
-            benchmark: Benchmark::HotpotQa,
-            config: AgentConfig::default(),
-        }
-    }
-}
+/// What kind of traffic the server receives: the disaggregated driver's
+/// workload enum, under the serving API's name for it.
+pub use agentsim_disagg::DisaggWorkload as ServingWorkload;
 
 /// Configuration of one serving run.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Engine (replica) configuration.
+    /// The replica's engine configuration.
     pub engine: EngineConfig,
     /// Traffic description.
     pub workload: ServingWorkload,
@@ -116,70 +73,31 @@ impl ServingConfig {
     }
 }
 
-#[derive(Debug)]
-enum Event {
-    Arrival(Arrival),
-    EngineStepDone,
-    ToolsDone(u64),
-}
-
 /// The serving simulator. Create with [`ServingSim::new`] and consume
 /// with [`ServingSim::run`].
+#[derive(Debug)]
 pub struct ServingSim {
-    config: ServingConfig,
-    engine: Engine,
-    tools: ToolExecutor,
-    queue: EventQueue<Event>,
-    client: Box<dyn ArrivalProcess>,
-    sessions: Vec<Option<SessionRunner>>,
-    /// In-flight engine request -> (session slot, call seq within op).
-    request_owner: HashMap<RequestId, (u64, u32)>,
-    root_rng: SimRng,
-    report_latencies: Vec<f64>,
-    agent_latencies: Vec<f64>,
-    chatbot_latencies: Vec<f64>,
-    llm_latencies: Vec<f64>,
-    completed: u64,
-    solved: u64,
-    last_finish: SimTime,
-    queue_depth: agentsim_metrics::TimeSeries,
+    sim: DisaggSim,
 }
 
 impl ServingSim {
     /// Builds the simulator (the first arrivals are scheduled; the rest
     /// chain lazily as the run progresses).
     pub fn new(config: ServingConfig) -> Self {
-        let engine = Engine::new(config.engine.clone());
-        let root_rng = SimRng::seed_from(config.seed ^ seeds::SERVING_ROOT);
-        let mut client = config.client.build(
-            config.qps,
-            config.num_requests,
-            root_rng.fork(seeds::ARRIVALS),
-        );
-        let mut queue = EventQueue::new();
-        for a in client.initial() {
-            queue.push(a.at, Event::Arrival(a));
-        }
-        let sessions = (0..config.client.sessions(config.num_requests))
-            .map(|_| None)
-            .collect();
-        ServingSim {
+        let ServingConfig {
             engine,
-            tools: ToolExecutor::new(),
-            queue,
+            workload,
+            qps,
+            num_requests,
+            seed,
             client,
-            sessions,
-            request_owner: HashMap::new(),
-            root_rng,
-            report_latencies: Vec::new(),
-            agent_latencies: Vec::new(),
-            chatbot_latencies: Vec::new(),
-            llm_latencies: Vec::new(),
-            completed: 0,
-            solved: 0,
-            last_finish: SimTime::ZERO,
-            queue_depth: agentsim_metrics::TimeSeries::new(),
-            config,
+        } = config;
+        let config = DisaggConfig::colocated(workload, 1, qps, num_requests)
+            .seed(seed)
+            .engine(engine)
+            .client(client);
+        ServingSim {
+            sim: DisaggSim::new(config),
         }
     }
 
@@ -188,7 +106,7 @@ impl ServingSim {
     /// [`ServingSim::run`]. Replaces any previously attached observer.
     pub fn attach_recorder(&mut self) -> crate::SpanRecorder {
         let recorder = crate::SpanRecorder::new();
-        self.engine.set_observer(Box::new(recorder.clone()));
+        self.set_observer(Box::new(recorder.clone()));
         recorder
     }
 
@@ -196,220 +114,43 @@ impl ServingSim {
     /// Use [`agentsim_llm::FanoutObserver`] to combine several sinks —
     /// e.g. a recorder plus a streaming [`crate::SpanStreamWriter`].
     pub fn set_observer(&mut self, observer: Box<dyn agentsim_llm::EngineObserver>) {
-        self.engine.set_observer(observer);
+        self.sim.set_replica_observer(0, observer);
     }
 
     /// Runs to completion and reports.
-    pub fn run(mut self) -> ServingReport {
-        while let Some((now, event)) = self.queue.pop() {
-            match event {
-                Event::Arrival(a) => self.on_arrival(a, now),
-                Event::EngineStepDone => self.on_step_done(now),
-                Event::ToolsDone(sid) => {
-                    let cmd = self.sessions[sid as usize]
-                        .as_mut()
-                        .expect("live session")
-                        .on_tools_done(&self.tools, now);
-                    self.exec(sid, cmd, now);
-                }
-            }
-            self.kick_engine(now);
-        }
-        let expected = self.config.client.total_turns(self.config.num_requests);
-        assert_eq!(self.completed, expected, "all turns must finish");
-        self.into_report()
-    }
-
-    fn on_arrival(&mut self, a: Arrival, now: SimTime) {
-        // Chain the next arrival first, so it precedes any event this
-        // one schedules at the same instant.
-        if let Some(next) = self.client.after_arrival(now) {
-            self.queue.push(next.at, Event::Arrival(next));
-        }
-        // Every workload payload is `Copy`, so classify in place instead
-        // of cloning the whole workload per arrival.
-        let (runner, cmd) = match self.config.workload {
-            ServingWorkload::Chatbot => self.start_chatbot(a.turn, now),
-            ServingWorkload::Agent {
-                kind,
-                benchmark,
-                config,
-            } => self.start_agent(a.turn, now, kind, benchmark, config),
-            ServingWorkload::Mixed {
-                agent_fraction,
-                kind,
-                benchmark,
-                config,
-            } => {
-                // Deterministic per-turn class draw.
-                let mut class_rng = self.root_rng.fork(a.turn ^ seeds::MIXED_CLASS);
-                if class_rng.chance(agent_fraction) {
-                    self.start_agent(a.turn, now, kind, benchmark, config)
-                } else {
-                    self.start_chatbot(a.turn, now)
-                }
-            }
-        };
-        let slot = &mut self.sessions[a.session as usize];
-        assert!(slot.is_none(), "session {} already live", a.session);
-        *slot = Some(runner);
-        self.exec(a.session, cmd, now);
-    }
-
-    fn start_chatbot(&mut self, turn: u64, now: SimTime) -> (SessionRunner, SessionCmd) {
-        let query = ShareGptGenerator::new(self.config.seed).query(turn);
-        SessionRunner::chatbot(
-            query.prompt,
-            query.output_tokens,
-            query.gen_seed,
-            turn,
-            self.root_rng.fork(turn ^ seeds::CHATBOT_SESSION),
-            now,
-        )
-    }
-
-    fn start_agent(
-        &mut self,
-        turn: u64,
-        now: SimTime,
-        kind: AgentKind,
-        benchmark: Benchmark,
-        config: AgentConfig,
-    ) -> (SessionRunner, SessionCmd) {
-        let task = TaskGenerator::new(benchmark, self.config.seed).task(turn);
-        SessionRunner::agent(
-            kind,
-            &task,
-            config,
-            self.root_rng.fork(turn ^ seeds::AGENT_SESSION),
-            ToolRng::ForkByTime,
-            &self.tools,
-            now,
-        )
-    }
-
-    /// Executes a session command against this driver's engine and
-    /// event queue.
-    fn exec(&mut self, sid: u64, cmd: SessionCmd, now: SimTime) {
-        match cmd {
-            SessionCmd::Llm(op) => {
-                for (seq, call) in op.calls.into_iter().enumerate() {
-                    let id = self.engine.submit_with_priority(
-                        now,
-                        call.prompt,
-                        call.out_tokens,
-                        call.gen_seed,
-                        op.priority,
-                    );
-                    self.request_owner.insert(id, (sid, seq as u32));
-                }
-            }
-            SessionCmd::Tools { wake } => {
-                self.queue.push(wake, Event::ToolsDone(sid));
-            }
-            SessionCmd::Finish(outcome) => {
-                let runner = self.sessions[sid as usize]
-                    .take()
-                    .expect("live session finishing");
-                let latency = runner.trace().e2e().as_secs_f64();
-                self.report_latencies.push(latency);
-                if runner.is_agent() {
-                    self.agent_latencies.push(latency);
-                    self.solved += outcome.solved as u64;
-                } else {
-                    self.chatbot_latencies.push(latency);
-                }
-                self.completed += 1;
-                self.last_finish = self.last_finish.max(now);
-                if let Some(next) = self.client.after_finish(sid, now) {
-                    self.queue.push(next.at, Event::Arrival(next));
-                }
-            }
-        }
-    }
-
-    fn on_step_done(&mut self, now: SimTime) {
-        let completions = self.engine.complete_step(now);
-        for completion in completions {
-            let (sid, seq) = self
-                .request_owner
-                .remove(&completion.id)
-                .expect("completion belongs to a session");
-            self.llm_latencies
-                .push(completion.e2e_latency().as_secs_f64());
-            let cmd = self.sessions[sid as usize]
-                .as_mut()
-                .expect("live session")
-                .on_call_done(seq, CallDone::from_completion(completion), &self.tools, now);
-            if let Some(cmd) = cmd {
-                self.exec(sid, cmd, now);
-            }
-        }
-    }
-
-    fn kick_engine(&mut self, now: SimTime) {
-        self.queue_depth.record(
-            now,
-            (self.engine.queue_len() + self.engine.running_len()) as f64,
-        );
-        if let Some(end) = self.engine.start_step_if_idle(now) {
-            self.queue.push(end, Event::EngineStepDone);
-        }
-    }
-
-    fn into_report(self) -> ServingReport {
-        let makespan = SimDuration::from_micros(self.last_finish.as_micros());
-        let mut latencies: agentsim_metrics::Samples =
-            self.report_latencies.iter().copied().collect();
-        let llm_latencies: agentsim_metrics::Samples = self.llm_latencies.iter().copied().collect();
-        let agent_latencies: agentsim_metrics::Samples =
-            self.agent_latencies.iter().copied().collect();
-        let chatbot_latencies: agentsim_metrics::Samples =
-            self.chatbot_latencies.iter().copied().collect();
-        let p50_s = latencies.try_median().unwrap_or(f64::NAN);
-        let p95_s = latencies.try_p95().unwrap_or(f64::NAN);
-        let queue_depth_mean = self.queue_depth.time_weighted_mean(self.last_finish);
-        let queue_depth_max = self.queue_depth.max();
-        let metrics = self.engine.metrics();
-        let kv = self.engine.kv().stats();
-        let block_bytes = self.config.engine.kv_bytes_per_block();
-        ServingReport {
-            offered_qps: self.config.qps,
-            completed: self.completed,
-            solved: self.solved,
-            makespan,
-            p50_s,
-            p95_s,
-            energy_wh: metrics.energy_within(self.last_finish).watt_hours(),
-            utilization: metrics.utilization(self.last_finish),
-            kv_avg_bytes: kv.used_blocks.average(self.last_finish) * block_bytes as f64,
-            kv_max_bytes: kv.used_blocks.peak() * block_bytes,
-            kv_hit_rate: kv.hit_rate(),
-            preemptions: metrics.preemptions,
-            evictions: kv.evictions,
-            latencies,
-            llm_latencies,
-            agent_latencies,
-            chatbot_latencies,
-            queue_depth_mean,
-            queue_depth_max,
-        }
+    pub fn run(self) -> ServingReport {
+        serving_report(self.sim.run())
     }
 }
 
-impl std::fmt::Debug for ServingSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServingSim")
-            .field("qps", &self.config.qps)
-            .field("num_requests", &self.config.num_requests)
-            .field("completed", &self.completed)
-            .finish_non_exhaustive()
+/// The single-replica view of a one-replica colocated run.
+fn serving_report(r: DisaggReport) -> ServingReport {
+    ServingReport {
+        offered_qps: r.offered_qps,
+        completed: r.completed,
+        solved: r.solved,
+        makespan: r.makespan,
+        latencies: r.latencies,
+        agent_latencies: r.agent_latencies,
+        chatbot_latencies: r.chatbot_latencies,
+        p50_s: r.p50_s,
+        p95_s: r.p95_s,
+        energy_wh: r.energy_wh,
+        utilization: r.prefill_utilization[0],
+        kv_avg_bytes: r.kv_avg_bytes,
+        kv_max_bytes: r.kv_max_bytes,
+        kv_hit_rate: r.kv_hit_rate,
+        preemptions: r.preemptions,
+        evictions: r.evictions,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agentsim_agents::{AgentConfig, AgentKind};
+    use agentsim_simkit::SimDuration;
+    use agentsim_workloads::Benchmark;
 
     fn chatbot(qps: f64, n: u64) -> ServingReport {
         ServingSim::new(ServingConfig::new(ServingWorkload::Chatbot, qps, n).seed(1)).run()
@@ -426,12 +167,6 @@ mod tests {
         assert!(r.p50_s > 1.0, "p50 {}", r.p50_s);
         assert!(r.p95_s >= r.p50_s);
         assert!(r.utilization > 0.0);
-        assert!(
-            r.queue_depth_max >= 1.0,
-            "at least one request was in flight"
-        );
-        assert!(r.queue_depth_mean > 0.0);
-        assert!(r.queue_depth_mean <= r.queue_depth_max);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct ServingReport {
     pub makespan: SimDuration,
     /// Per-request end-to-end latencies (seconds).
     pub latencies: Samples,
-    /// Per-LLM-call latencies (seconds), including queueing.
-    pub llm_latencies: Samples,
     /// End-to-end latencies of agentic requests only (empty unless the
     /// workload contains agents).
     pub agent_latencies: Samples,
@@ -44,10 +42,6 @@ pub struct ServingReport {
     pub preemptions: u64,
     /// Cached-block evictions (thrashing indicator).
     pub evictions: u64,
-    /// Time-weighted mean of in-engine requests (queued + running).
-    pub queue_depth_mean: f64,
-    /// Peak in-engine requests.
-    pub queue_depth_max: f64,
 }
 
 impl ServingReport {
@@ -129,7 +123,6 @@ mod tests {
             solved: 40,
             makespan: SimDuration::from_secs(50),
             latencies: Samples::new(),
-            llm_latencies: Samples::new(),
             agent_latencies: Samples::new(),
             chatbot_latencies: Samples::new(),
             p50_s: 1.0,
@@ -141,8 +134,6 @@ mod tests {
             kv_hit_rate: 0.5,
             preemptions: 0,
             evictions: 3,
-            queue_depth_mean: 1.5,
-            queue_depth_max: 4.0,
         }
     }
 

@@ -51,26 +51,23 @@ impl Cell {
     }
 }
 
-/// The serving goldens' traffic mixes, for either driver: the two
-/// workload enums share their variants.
-macro_rules! workload {
-    ($ty:ident, $name:expr) => {
-        match $name {
-            "chatbot" => $ty::Chatbot,
-            "agent" => $ty::Agent {
-                kind: AgentKind::React,
-                benchmark: Benchmark::HotpotQa,
-                config: AgentConfig::default_8b(),
-            },
-            "mixed" => $ty::Mixed {
-                agent_fraction: 0.5,
-                kind: AgentKind::React,
-                benchmark: Benchmark::HotpotQa,
-                config: AgentConfig::default_8b(),
-            },
-            other => panic!("unknown workload {other}"),
-        }
-    };
+/// The serving goldens' traffic mixes.
+fn workload(name: &str) -> ServingWorkload {
+    match name {
+        "chatbot" => ServingWorkload::Chatbot,
+        "agent" => ServingWorkload::Agent {
+            kind: AgentKind::React,
+            benchmark: Benchmark::HotpotQa,
+            config: AgentConfig::default_8b(),
+        },
+        "mixed" => ServingWorkload::Mixed {
+            agent_fraction: 0.5,
+            kind: AgentKind::React,
+            benchmark: Benchmark::HotpotQa,
+            config: AgentConfig::default_8b(),
+        },
+        other => panic!("unknown workload {other}"),
+    }
 }
 
 /// High offered load so a real queue forms (schedulers diverge) and a
@@ -82,18 +79,9 @@ fn serving_engine(scheduler: SchedulerPolicy) -> EngineConfig {
 }
 
 fn serving(name: &str, scheduler: SchedulerPolicy) -> ServingConfig {
-    ServingConfig::new(workload!(ServingWorkload, name), 8.0, 40)
+    ServingConfig::new(workload(name), 8.0, 40)
         .seed(0xD5EED)
         .engine(serving_engine(scheduler))
-}
-
-/// The same run through the disagg driver's degenerate path: one
-/// colocated replica, a zero-cost link, autoscaling disabled.
-fn serving_as_disagg(name: &str, scheduler: SchedulerPolicy) -> DisaggConfig {
-    DisaggConfig::colocated(workload!(DisaggWorkload, name), 1, 8.0, 40)
-        .seed(0xD5EED)
-        .engine(serving_engine(scheduler))
-        .link(LinkSpec::zero_cost())
 }
 
 fn closed_loop() -> ClientModel {
@@ -579,33 +567,6 @@ fn print_goldens() {
             "            // {label}\n            \"{}\",",
             lines.join(" \\\n             ")
         );
-    }
-}
-
-/// The disagg driver collapsed to its degenerate configuration is the
-/// colocated `ServingSim`: same arrivals, same per-session RNG forks,
-/// same scheduler decisions, same KV hits and preemptions, down to the
-/// last float bit of every field the two reports share.
-#[test]
-fn degenerate_disagg_matches_serving_on_shared_fields() {
-    for name in ["chatbot", "agent", "mixed"] {
-        for scheduler in [Fcfs, DeepestFirst] {
-            let cfg = serving_as_disagg(name, scheduler);
-            assert!(matches!(cfg.autoscale, AutoscalePolicy::Disabled));
-            let disagg = DisaggSim::new(cfg).run();
-            assert_eq!(disagg.migrated_calls, 0, "colocated mode never migrates");
-            assert_eq!(disagg.transferred_bytes, 0);
-            let disagg = disagg.fingerprint();
-            let serving = ServingSim::new(serving(name, scheduler))
-                .run()
-                .fingerprint();
-            assert_eq!(
-                disagg.shared_with(&serving),
-                serving.shared_with(&disagg),
-                "{name} {scheduler:?}: the disagg driver no longer degenerates \
-                 to the serving one"
-            );
-        }
     }
 }
 

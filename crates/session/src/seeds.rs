@@ -9,10 +9,11 @@
 //!
 //! Changing any value is a breaking change to every golden fingerprint.
 
-/// Root-stream key of the shared-replica drivers (`ServingSim`,
-/// `DisaggSim`): `SimRng::seed_from(config.seed ^ SERVING_ROOT)`.
-/// Both drivers deliberately share one root so a disaggregated run and a
-/// colocated run at the same seed see identical arrivals and sessions.
+/// Root-stream key of `DisaggSim`, and so of `ServingSim`, which runs
+/// on it as one colocated replica:
+/// `SimRng::seed_from(config.seed ^ SERVING_ROOT)`. One root for every
+/// topology means a disaggregated run and a colocated run at the same
+/// seed see identical arrivals and sessions.
 pub const SERVING_ROOT: u64 = 0x5E61;
 
 /// Root-stream key of the multi-replica fleet driver (`FleetSim`).
