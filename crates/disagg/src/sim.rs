@@ -61,7 +61,9 @@ enum Event {
 }
 
 /// One call's record under construction (prefill leg, then optionally a
-/// transfer and a decode leg). Replica indices are global.
+/// transfer and a decode leg). Replica indices are global. `Copy` keeps
+/// it heap-free: a call must not pin its prompt for the whole run.
+#[derive(Clone, Copy)]
 struct CallState {
     session: u64,
     /// The call's index within its session's current LLM op.
@@ -70,11 +72,26 @@ struct CallState {
     decode_replica: Option<usize>,
     decode_submitted: Option<SimTime>,
     transfer_wait: SimDuration,
-    /// Prefill leg, captured at migration time (`None` until then; local
-    /// completions fill the record directly). Doubles as the completion
-    /// discriminator: a finished request whose call has a migration
-    /// finished its *decode* leg.
-    migration: Option<agentsim_llm::MigratedRequest>,
+    /// Prefill leg, captured when the call's KV lands on its decode
+    /// replica (`None` until then; local completions fill the record
+    /// directly). Doubles as the completion discriminator: a finished
+    /// request whose call has a prefill leg finished its *decode* leg.
+    prefill_leg: Option<PrefillLeg>,
+}
+
+/// The prefill-engine scalars of a migrated call that its [`CallRecord`]
+/// needs — everything else in the [`MigratedRequest`], its context
+/// included, moves on to the decode engine.
+#[derive(Clone, Copy)]
+struct PrefillLeg {
+    arrived: SimTime,
+    started: SimTime,
+    released: SimTime,
+    prompt_tokens: u32,
+    cached_tokens: u32,
+    prefill_time: SimDuration,
+    kv_bytes: u64,
+    preemptions: u32,
 }
 
 /// A role flip in progress: the victim has left its pool's member list
@@ -416,7 +433,7 @@ impl DisaggSim {
                         decode_replica: None,
                         decode_submitted: None,
                         transfer_wait: SimDuration::ZERO,
-                        migration: None,
+                        prefill_leg: None,
                     });
                     self.owner.insert((replica, id), call);
                 }
@@ -446,7 +463,7 @@ impl DisaggSim {
     }
 
     fn on_step(&mut self, replica: usize, now: SimTime) {
-        // Completions: a call with a migration finished its decode leg;
+        // Completions: a call with a prefill leg finished its decode leg;
         // one without finished locally (colocated mode, single-token
         // outputs, or any call on a colocated-role replica).
         let mut completions = std::mem::take(&mut self.step_scratch);
@@ -470,7 +487,7 @@ impl DisaggSim {
             .owner
             .remove(&(replica, completion.id))
             .expect("completion belongs to a call");
-        if self.calls[call as usize].migration.is_some() {
+        if self.calls[call as usize].prefill_leg.is_some() {
             self.finish_migrated_call(call, completion, now);
         } else {
             self.finish_local_call(call, completion, now);
@@ -498,13 +515,24 @@ impl DisaggSim {
             .remove(&tid)
             .expect("transfer belongs to a call");
         let pt = self.transfers.complete(tid);
-        // A draining destination still accepts this: the KV was committed
-        // to it before the drain began, and a flip waits for it to land.
-        let id = self.replicas[pt.dst].submit_prefilled(now, &pt.migration);
+        let m = &pt.migration;
         let state = &mut self.calls[call as usize];
         state.decode_submitted = Some(now);
         state.transfer_wait = pt.transfer.wait();
-        state.migration = Some(pt.migration);
+        state.prefill_leg = Some(PrefillLeg {
+            arrived: m.arrived,
+            started: m.started,
+            released: m.released,
+            prompt_tokens: m.prompt_tokens,
+            cached_tokens: m.cached_tokens,
+            prefill_time: m.prefill_time,
+            kv_bytes: m.kv_bytes,
+            preemptions: m.preemptions,
+        });
+        // A draining destination still accepts this: the KV was committed
+        // to it before the drain began, and a flip waits for it to land.
+        // The decode engine takes the context; the call keeps no tokens.
+        let id = self.replicas[pt.dst].submit_prefilled(now, pt.migration);
         self.owner.insert((pt.dst, id), call);
     }
 
@@ -539,7 +567,7 @@ impl DisaggSim {
     /// A call that prefilled, migrated, and decoded to completion.
     fn finish_migrated_call(&mut self, call: u64, completion: &LlmCompletion, now: SimTime) {
         let state = &self.calls[call as usize];
-        let m = state.migration.as_ref().expect("migrated call has a leg");
+        let m = state.prefill_leg.expect("migrated call has a prefill leg");
         debug_assert!(
             completion.prefill_time.is_zero(),
             "decode pools never run prefill steps"

@@ -867,7 +867,8 @@ mod tests {
         let mut decode = Engine::new(EngineConfig::a100_llama8b().with_role(EngineRole::Decode));
         let d_rec = SpanRecorder::new();
         decode.set_observer(Box::new(d_rec.clone()));
-        decode.submit_prefilled(handoff, &migrations[0]);
+        let migration = migrations.into_iter().next().expect("one migration");
+        decode.submit_prefilled(handoff, migration);
         drain(&mut decode, handoff);
 
         let d_span = &d_rec.spans()[0];
