@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use agentsim_kvcache::TokenBuf;
+use agentsim_kvcache::{TokenBuf, DEFAULT_BLOCK_SIZE};
 use agentsim_simkit::rng::hash_key;
 use agentsim_tools::ToolResult;
 use agentsim_workloads::segments::{
@@ -129,8 +129,12 @@ impl ContextTracker {
         self.breakdown.tool_history += result.response_tokens;
     }
 
-    /// The current prompt (cloned for submission).
+    /// The current prompt (cloned for submission), its chain hashes
+    /// warm at [`DEFAULT_BLOCK_SIZE`]. The hashes are kept on the tracker
+    /// and extended over new tokens only, so a call's prefix lookup never
+    /// re-hashes the context that earlier calls already submitted.
     pub fn snapshot(&self) -> TokenBuf {
+        self.buf.chain_hashes_cached(DEFAULT_BLOCK_SIZE as usize);
         self.buf.clone()
     }
 
@@ -228,6 +232,20 @@ mod tests {
         expected.push_generated(99, 1);
         expected.push_generated(99, 2);
         assert_eq!(after, expected);
+    }
+
+    #[test]
+    fn snapshot_carries_the_chain_of_its_tokens() {
+        let mut ctx = ContextTracker::new(2, &task(), 4);
+        let _ = ctx.snapshot();
+        ctx.append_llm_output(7, 50);
+        ctx.append_tool(&tool_result(37));
+        let snap = ctx.snapshot();
+        let expected = agentsim_kvcache::hash::chain_hashes(snap.as_slice(), 16);
+        assert_eq!(&*snap.chain_hashes_cached(16), &expected[..]);
+        // Another block size rebuilds the chain from the tokens.
+        let expected8 = agentsim_kvcache::hash::chain_hashes(snap.as_slice(), 8);
+        assert_eq!(&*snap.chain_hashes_cached(8), &expected8[..]);
     }
 
     #[test]

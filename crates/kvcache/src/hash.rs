@@ -4,6 +4,12 @@
 //! sequence through the end of that block* — computed incrementally as
 //! `hash(parent_chain_hash, block_tokens)`. Two sequences share a cached
 //! block if and only if they agree on the entire prefix up to it.
+//!
+//! It also holds [`IdHasher`], the cheap hasher for the maps keyed by
+//! those chain hashes and by sequence handles.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use agentsim_simkit::rng::splitmix64;
 
@@ -38,6 +44,34 @@ pub fn chain_hashes(tokens: &[Token], block_size: usize) -> Vec<u64> {
     }
     hashes
 }
+
+/// A multiplicative hasher for `u64` keys that are already well spread:
+/// chain hashes (splitmix output) and sequential handles. One multiply by
+/// an odd constant replaces SipHash's rounds, and it is a bijection on
+/// every low-bit window, so sequential keys never collide in a table's
+/// index bits. No result may depend on map iteration order, which the
+/// default hasher already randomizes per process.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by chain hashes or handles, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -91,6 +125,18 @@ mod tests {
     fn hash_depends_on_parent() {
         let block: Vec<Token> = (0..16).collect();
         assert_ne!(chain_hash(1, &block), chain_hash(2, &block));
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_keys_over_index_bits() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let low: HashSet<u64> = (0..1024u64).map(|k| build.hash_one(k) & 1023).collect();
+        assert_eq!(low.len(), 1024, "sequential keys fill every low-bit slot");
+        let mut map: IdMap<u64, u64> = IdMap::default();
+        map.insert(7, 1);
+        assert_eq!(map.get(&7), Some(&1));
     }
 
     #[test]

@@ -25,15 +25,18 @@
 //! * [`EvictionPolicy::InvocationDistance`] — ScaleSim-style: the session
 //!   layer knows *exactly* when an idle session returns (tool-call wake
 //!   time, closed-loop think time), and hints the hierarchy with the
-//!   predicted next-invocation time per chain hash. Content with no
-//!   prediction is evicted first (an ended session never comes back),
-//!   then content predicted farthest in the future; LRU order breaks
-//!   ties. With no hints at all the policy degenerates to exact LRU.
+//!   predicted next-invocation time per chain hash. Content predicted
+//!   farthest in the future is evicted first. Content with no prediction
+//!   is evicted last: a hot shared prefix loses its prediction each time
+//!   it is used, so "unhinted" usually means "needed again soon". LRU
+//!   order breaks ties. With no hints at all the policy degenerates to
+//!   exact LRU.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use agentsim_simkit::SimTime;
 
+use crate::hash::IdMap;
 use crate::stats::KvStats;
 
 /// An offload tier below HBM.
@@ -92,6 +95,17 @@ pub enum EvictionPolicy {
     InvocationDistance,
 }
 
+impl EvictionPolicy {
+    /// The rank of content with no prediction: every block under
+    /// [`EvictionPolicy::Lru`], where recency alone decides.
+    pub fn unhinted_rank(self) -> u64 {
+        match self {
+            EvictionPolicy::Lru => 0,
+            EvictionPolicy::InvocationDistance => u64::MAX,
+        }
+    }
+}
+
 /// Sizing and policy of the offload tiers, in whole KV blocks.
 ///
 /// A zero-capacity tier is skipped in the demote cascade; with both tiers
@@ -119,7 +133,7 @@ type Rank = u64;
 struct TierState {
     capacity: u32,
     /// chain hash -> (rank, stamp) as currently keyed in `order`.
-    entries: HashMap<u64, (Rank, u64)>,
+    entries: IdMap<u64, (Rank, u64)>,
     /// (rank, stamp, hash): the minimum is the next victim. Stamps are
     /// unique per insertion, so ties resolve FIFO and deterministically.
     order: BTreeSet<(Rank, u64, u64)>,
@@ -176,7 +190,7 @@ pub struct MemoryHierarchy {
     nvme: TierState,
     /// chain hash -> predicted next-invocation time (absolute micros),
     /// fed by the session layer via hints.
-    pred: HashMap<u64, u64>,
+    pred: IdMap<u64, u64>,
     /// Monotonic insertion counter for deterministic tie-breaks.
     stamp: u64,
     /// Transfers recorded since the last drain, in occurrence order.
@@ -196,7 +210,7 @@ impl MemoryHierarchy {
                 capacity: spec.nvme_blocks,
                 ..TierState::default()
             },
-            pred: HashMap::new(),
+            pred: IdMap::default(),
             stamp: 0,
             events: Vec::new(),
         }
@@ -216,9 +230,10 @@ impl MemoryHierarchy {
     pub fn rank_for(&self, hash: u64) -> Rank {
         match self.spec.policy {
             EvictionPolicy::Lru => 0,
-            EvictionPolicy::InvocationDistance => {
-                self.pred.get(&hash).map_or(u64::MAX, |&at| u64::MAX - at)
-            }
+            EvictionPolicy::InvocationDistance => self
+                .pred
+                .get(&hash)
+                .map_or(self.spec.policy.unhinted_rank(), |&at| u64::MAX - at),
         }
     }
 

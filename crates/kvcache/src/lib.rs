@@ -33,6 +33,7 @@
 //! ```
 
 pub mod block;
+mod evictable;
 pub mod hash;
 pub mod hierarchy;
 pub mod manager;
@@ -44,3 +45,9 @@ pub use hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierDir,
 pub use manager::{AllocError, KvBlockManager, KvConfig, SeqHandle};
 pub use stats::KvStats;
 pub use tokens::{Token, TokenBuf};
+
+/// Tokens per KV block unless an engine says otherwise (vLLM's default).
+/// Token streams that will be submitted warm their chain-hash cache at
+/// this size ([`TokenBuf::chain_hashes_cached`]); a pool with another
+/// block size rebuilds the chain, with the same result.
+pub const DEFAULT_BLOCK_SIZE: u32 = 16;

@@ -4,14 +4,18 @@
 //! own block tables; full blocks are chain-hashed and registered in a
 //! prefix cache; unreferenced hashed blocks stay resident (evictable, LRU)
 //! until memory pressure reclaims them.
+//!
+//! Every per-block operation is O(1) on the common path: unhinted
+//! evictable blocks queue in a linked FIFO lane, and the block maps hash
+//! with [`IdHasher`](crate::hash::IdHasher).
 
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use agentsim_simkit::SimTime;
 
 use crate::block::{BlockId, BlockMeta, BlockState};
-use crate::hash::{chain_hash, CHAIN_ROOT};
+use crate::evictable::EvictableSet;
+use crate::hash::{chain_hash, IdMap, CHAIN_ROOT};
 use crate::hierarchy::{EvictionPolicy, MemoryHierarchy, OffloadSpec, Tier, TierTransfer};
 use crate::stats::KvStats;
 use crate::tokens::{Token, TokenBuf};
@@ -89,12 +93,15 @@ pub struct KvBlockManager {
     ranks: Vec<u64>,
     free: Vec<BlockId>,
     /// chain hash -> resident block holding that content.
-    cache: HashMap<u64, BlockId>,
+    cache: IdMap<u64, BlockId>,
     /// Evictable blocks ordered (rank, last-use tick, block): the minimum
     /// is the next victim. Rank is zero without an offload hierarchy (or
-    /// under its LRU baseline), making the order exactly LRU.
-    lru: BTreeSet<(u64, u64, BlockId)>,
-    seqs: HashMap<u64, SeqState>,
+    /// under its LRU baseline), making the order exactly LRU; under
+    /// invocation distance, unhinted blocks rank `u64::MAX` and go last.
+    /// Blocks at the policy's unhinted rank queue in O(1) FIFO order;
+    /// only hinted ranks pay for an ordered set.
+    lru: EvictableSet,
+    seqs: IdMap<u64, SeqState>,
     next_seq: u64,
     tick: u64,
     /// Blocks currently in [`BlockState::Active`], maintained at every
@@ -121,9 +128,9 @@ impl KvBlockManager {
             lru_ticks: vec![0; config.num_blocks as usize],
             ranks: vec![0; config.num_blocks as usize],
             free: (0..config.num_blocks).rev().map(BlockId).collect(),
-            cache: HashMap::new(),
-            lru: BTreeSet::new(),
-            seqs: HashMap::new(),
+            cache: IdMap::default(),
+            lru: EvictableSet::new(EvictionPolicy::Lru.unhinted_rank()),
+            seqs: IdMap::default(),
             next_seq: 0,
             tick: 0,
             active: 0,
@@ -154,6 +161,7 @@ impl KvBlockManager {
             "KV offload requires prefix caching (tier content is chain-hashed)"
         );
         self.hierarchy = Some(MemoryHierarchy::new(spec));
+        self.lru = EvictableSet::new(spec.policy.unhinted_rank());
     }
 
     /// The offload hierarchy, if one is attached.
@@ -169,33 +177,38 @@ impl KvBlockManager {
         }
     }
 
-    /// Counts how many leading full blocks of `tokens` are already resident.
-    fn count_hits(&self, hashes: &[u64]) -> usize {
+    /// Counts the leading full blocks of `hashes` already resident, and how
+    /// many of those sit in the evictable set. Those are revived, not
+    /// evicted, so they do not count as available for fresh allocation.
+    fn scan_hits(&self, hashes: &[u64]) -> (usize, usize) {
         if !self.config.prefix_caching {
-            return 0;
+            return (0, 0);
         }
-        hashes
+        let mut revivable = 0;
+        let hits = hashes
             .iter()
-            .take_while(|h| self.cache.contains_key(h))
-            .count()
+            .map_while(|h| self.cache.get(h))
+            .inspect(|id| {
+                if self.metas[id.0 as usize].state == BlockState::Cached {
+                    revivable += 1;
+                }
+            })
+            .count();
+        (hits, revivable)
+    }
+
+    /// Fresh blocks a prompt of `len` tokens with `hashes` needs, and the
+    /// blocks free or evictable for it.
+    fn demand(&self, hashes: &[u64], len: usize) -> (usize, usize, usize) {
+        let (hits, revivable) = self.scan_hits(hashes);
+        let needed = self.config.blocks_for(len) - hits;
+        (hits, needed, self.free.len() + self.lru.len() - revivable)
     }
 
     /// Whether `allocate` for this prompt would currently succeed.
     pub fn can_allocate(&self, tokens: &TokenBuf) -> bool {
         let hashes = tokens.chain_hashes_cached(self.config.block_size as usize);
-        let hits = self.count_hits(&hashes);
-        let total = self.config.blocks_for(tokens.len());
-        let needed = total - hits;
-        // Cached hit blocks may sit in the LRU; they are revived, not
-        // evicted, so they do not count as available for fresh allocation.
-        let revivable = hashes[..hits]
-            .iter()
-            .filter(|h| {
-                let id = self.cache[*h];
-                self.metas[id.0 as usize].state == BlockState::Cached
-            })
-            .count();
-        let available = self.free.len() + self.lru.len() - revivable;
+        let (_, needed, available) = self.demand(&hashes, tokens.len());
         needed <= available
     }
 
@@ -259,19 +272,16 @@ impl KvBlockManager {
     ) -> Result<SeqHandle, AllocError> {
         assert!(!tokens.is_empty(), "cannot allocate an empty sequence");
         let bs = self.config.block_size as usize;
-        // The memoized hashes are fresh after this call, so the nested
-        // `can_allocate` below only takes a second shared borrow.
         let hashes = tokens.chain_hashes_cached(bs);
-        if !self.can_allocate(tokens) {
-            let hits = self.count_hits(&hashes);
+        let (hits, needed, available) = self.demand(&hashes, tokens.len());
+        if needed > available {
             self.stats.rejections += 1;
             return Err(AllocError::Insufficient {
-                needed: self.config.blocks_for(tokens.len()) - hits,
+                needed,
                 available: self.free.len() + self.lru.len(),
             });
         }
 
-        let hits = self.count_hits(&hashes);
         let mut blocks = Vec::with_capacity(self.config.blocks_for(tokens.len()));
 
         // Revive / share cached prefix blocks.
@@ -281,7 +291,7 @@ impl KvBlockManager {
             // touching.
             if self.metas[id.0 as usize].state == BlockState::Cached {
                 self.lru
-                    .remove(&(self.ranks[id.0 as usize], self.lru_ticks[id.0 as usize], id));
+                    .remove((self.ranks[id.0 as usize], self.lru_ticks[id.0 as usize], id));
                 self.metas[id.0 as usize].state = BlockState::Active;
                 self.active += 1;
             }
@@ -471,7 +481,8 @@ impl KvBlockManager {
                     .as_ref()
                     .map_or(0, |hier| hier.rank_for(hash));
                 self.ranks[id.0 as usize] = rank;
-                self.lru.insert((rank, self.lru_ticks[id.0 as usize], id));
+                self.lru
+                    .insert((rank, self.lru_ticks[id.0 as usize], id), &self.lru_ticks);
             } else {
                 if let Some(h) = meta.chain_hash.take() {
                     if self.cache.get(&h) == Some(&id) {
@@ -541,9 +552,9 @@ impl KvBlockManager {
                     let old = self.ranks[id.0 as usize];
                     let new = hier.rank_for(h);
                     if new != old {
-                        self.lru.remove(&(old, tick, id));
+                        self.lru.remove((old, tick, id));
                         self.ranks[id.0 as usize] = new;
-                        self.lru.insert((new, tick, id));
+                        self.lru.insert((new, tick, id), &self.lru_ticks);
                     }
                 }
             }
@@ -583,8 +594,7 @@ impl KvBlockManager {
         }
         // Evict the lowest-ranked cached block (exact LRU without an
         // offload hierarchy).
-        if let Some(&(rank, tick, id)) = self.lru.iter().next() {
-            self.lru.remove(&(rank, tick, id));
+        if let Some(id) = self.lru.pop_first(&self.lru_ticks) {
             let meta = &mut self.metas[id.0 as usize];
             if let Some(h) = meta.chain_hash.take() {
                 if self.cache.get(&h) == Some(&id) {
@@ -634,7 +644,8 @@ impl KvBlockManager {
                 return Err(format!("{id} on free list but not Free"));
             }
         }
-        for &(rank, tick, id) in &self.lru {
+        self.lru.check_invariants(&self.lru_ticks)?;
+        for (rank, tick, id) in self.lru.iter(&self.lru_ticks) {
             seen[id.0 as usize] += 1;
             let m = &self.metas[id.0 as usize];
             if m.state != BlockState::Cached || m.ref_count != 0 {
@@ -664,6 +675,25 @@ impl KvBlockManager {
         }
         if let Some(i) = seen.iter().position(|&c| c != 1) {
             return Err(format!("blk#{i} in {} places", seen[i]));
+        }
+        // Oracle: the next victim is the minimum key over every cached
+        // block, found by a plain scan.
+        let cached = (0..n).filter(|&i| self.metas[i].state == BlockState::Cached);
+        let cached_count = cached.clone().count();
+        if self.lru.len() != cached_count {
+            return Err(format!(
+                "evictable set holds {} blocks, {cached_count} are cached",
+                self.lru.len()
+            ));
+        }
+        let scan_min = cached
+            .map(|i| (self.ranks[i], self.lru_ticks[i], BlockId(i as u32)))
+            .min();
+        if self.lru.first(&self.lru_ticks) != scan_min {
+            return Err(format!(
+                "next victim {:?} but the scan minimum is {scan_min:?}",
+                self.lru.first(&self.lru_ticks)
+            ));
         }
         let active_scan = self
             .metas
@@ -789,9 +819,9 @@ mod tests {
         assert_eq!(m.stats().evictions, 4);
         // p1 no longer cached, p2 still is.
         let hashes1 = chain_hashes(p1.as_slice(), 16);
-        assert_eq!(m.count_hits(&hashes1), 0);
+        assert_eq!(m.scan_hits(&hashes1).0, 0);
         let hashes2 = chain_hashes(p2.as_slice(), 16);
-        assert_eq!(m.count_hits(&hashes2), 4);
+        assert_eq!(m.scan_hits(&hashes2).0, 4);
         m.check_invariants().unwrap();
     }
 
@@ -1145,8 +1175,8 @@ mod tests {
             m.hint_next_use(&hashes2, t(4), t(60_000_000));
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
-            assert_eq!(m.count_hits(&hashes1), 4, "imminent blocks survived");
-            assert_eq!(m.count_hits(&hashes2), 0, "far-future blocks evicted");
+            assert_eq!(m.scan_hits(&hashes1).0, 4, "imminent blocks survived");
+            assert_eq!(m.scan_hits(&hashes2).0, 0, "far-future blocks evicted");
             m.check_invariants().unwrap();
         }
 
@@ -1167,8 +1197,30 @@ mod tests {
             m.hint_next_use(&hashes2, t(4), t(1_000));
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
-            assert_eq!(m.count_hits(&hashes1), 4, "unhinted blocks survived");
-            assert_eq!(m.count_hits(&hashes2), 0, "hinted blocks spilled");
+            assert_eq!(m.scan_hits(&hashes1).0, 4, "unhinted blocks survived");
+            assert_eq!(m.scan_hits(&hashes2).0, 0, "hinted blocks spilled");
+            m.check_invariants().unwrap();
+        }
+
+        #[test]
+        fn hint_at_time_zero_returns_blocks_to_the_lane_in_tick_order() {
+            // A prediction at absolute time 0 ranks like no prediction, so
+            // the re-keyed blocks rejoin the FIFO lane behind younger ones
+            // by their (older) ticks and are evicted first.
+            let mut m = tiered(8, 0, 0, EvictionPolicy::InvocationDistance);
+            let p1 = TokenBuf::from_segment(1, 64);
+            let s1 = m.allocate(&p1, t(0)).unwrap();
+            m.free(s1, t(1));
+            let hashes1 = p1.chain_hashes_cached(16).to_vec();
+            m.hint_next_use(&hashes1, t(2), t(1_000));
+            let p2 = TokenBuf::from_segment(2, 64);
+            let s2 = m.allocate(&p2, t(3)).unwrap();
+            m.free(s2, t(4));
+            m.hint_next_use(&hashes1, t(5), SimTime::ZERO);
+            m.check_invariants().unwrap();
+            let p3 = TokenBuf::from_segment(3, 64);
+            let _ = m.allocate(&p3, t(6)).unwrap();
+            assert_eq!(m.scan_hits(&hashes1).0, 0, "older blocks evicted first");
             m.check_invariants().unwrap();
         }
 
@@ -1186,7 +1238,7 @@ mod tests {
             let p3 = TokenBuf::from_segment(3, 64);
             let _ = m.allocate(&p3, t(5)).unwrap();
             // Strict LRU: the older p1 blocks go first, hint or no hint.
-            assert_eq!(m.count_hits(&hashes1), 0);
+            assert_eq!(m.scan_hits(&hashes1).0, 0);
             m.check_invariants().unwrap();
         }
 

@@ -88,10 +88,13 @@ fn run_script(ops: &[Op], num_blocks: u32, prefix_caching: bool) -> (KvBlockMana
 #[derive(Debug, Clone)]
 enum TieredOp {
     Base(Op),
-    /// Hint the `k`-th live sequence's prompt chain back `delta_ms` from now.
+    /// Hint the `k`-th live sequence's prompt chain back `delta_ms` from
+    /// now, or with `freed` the `k`-th most recently freed prompt's: its
+    /// blocks sit in the evictable set, so the hint re-ranks them there.
     Hint {
         k: usize,
         delta_ms: u32,
+        freed: bool,
     },
 }
 
@@ -100,7 +103,11 @@ fn tiered_op_strategy() -> impl Strategy<Value = TieredOp> {
         op_strategy().prop_map(TieredOp::Base),
         op_strategy().prop_map(TieredOp::Base),
         op_strategy().prop_map(TieredOp::Base),
-        (0usize..8, 1u32..120_000).prop_map(|(k, delta_ms)| TieredOp::Hint { k, delta_ms }),
+        (0usize..8, 1u32..120_000, any::<bool>()).prop_map(|(k, delta_ms, freed)| TieredOp::Hint {
+            k,
+            delta_ms,
+            freed
+        }),
     ]
 }
 
@@ -145,6 +152,8 @@ fn run_tiered_script(
         mgr.enable_offload(spec);
     }
     let mut live: Vec<(SeqHandle, TokenBuf)> = Vec::new();
+    // The last few freed prompts, newest last.
+    let mut freed: Vec<TokenBuf> = Vec::new();
     let mut clock = 0u64;
     let mut ledger = TransferLedger::default();
     let mut events = Vec::new();
@@ -177,14 +186,29 @@ fn run_tiered_script(
                 if live.is_empty() {
                     continue;
                 }
-                let (h, _) = live.swap_remove(k % live.len());
+                let (h, prompt) = live.swap_remove(k % live.len());
                 mgr.free(h, now);
-            }
-            TieredOp::Hint { k, delta_ms } => {
-                if live.is_empty() {
-                    continue;
+                if freed.len() == 4 {
+                    freed.remove(0);
                 }
-                let buf = &live[k % live.len()].1;
+                freed.push(prompt);
+            }
+            TieredOp::Hint {
+                k,
+                delta_ms,
+                freed: of_freed,
+            } => {
+                let buf = if *of_freed {
+                    match freed.len() {
+                        0 => continue,
+                        n => &freed[n - 1 - k % n],
+                    }
+                } else {
+                    match live.len() {
+                        0 => continue,
+                        n => &live[k % n].1,
+                    }
+                };
                 let hashes: Vec<u64> = buf.chain_hashes_cached(16).to_vec();
                 let at = now + agentsim_simkit::SimDuration::from_millis(*delta_ms as u64);
                 mgr.hint_next_use(&hashes, now, at);

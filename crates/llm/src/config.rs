@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use agentsim_gpu::{ClusterSpec, LinkSpec};
-use agentsim_kvcache::{EvictionPolicy, OffloadSpec};
+use agentsim_kvcache::{EvictionPolicy, OffloadSpec, DEFAULT_BLOCK_SIZE};
 
 /// Request admission order.
 ///
@@ -207,7 +207,7 @@ impl EngineConfig {
     pub fn a100_llama8b() -> Self {
         EngineConfig {
             cluster: ClusterSpec::a100_llama8b(),
-            block_size: 16,
+            block_size: DEFAULT_BLOCK_SIZE,
             prefix_caching: true,
             max_batch_tokens: 8192,
             max_running: 256,
